@@ -11,10 +11,10 @@
 //! cargo run --release -p phasefold-bench --bin exp_case_studies
 //! ```
 
-use phasefold::compare::{compare_analyses, render_comparison};
 use phasefold::report::{render_report, suggest_optimization};
 use phasefold::{run_study, AnalysisConfig, StudyOutput};
 use phasefold_bench::{banner, fmt, pct, write_results, Table};
+use phasefold_fleet::{compare_fingerprints, render_verdict, Fingerprint, MatchConfig};
 use phasefold_simapp::workloads::{cg, md, stencil};
 use phasefold_simapp::{Program, SimConfig};
 use phasefold_tracer::TracerConfig;
@@ -102,9 +102,16 @@ fn main() {
             t0 / t1
         );
         // Differential analysis: which phases moved, and how.
-        let cmp = compare_analyses(&base.analysis, &opt.analysis);
+        let fingerprint = |s: &StudyOutput, build| {
+            Fingerprint::from_analysis(&s.analysis, &s.trace.registry, build, case.name)
+        };
+        let verdict = compare_fingerprints(
+            &fingerprint(&base, "baseline"),
+            &fingerprint(&opt, "optimized"),
+            &MatchConfig::default(),
+        );
         println!("per-phase movement (baseline -> optimized):");
-        println!("{}", render_comparison(&cmp, &base.analysis, &base.trace.registry));
+        println!("{}", render_verdict(&verdict));
 
         detail.push_str(&format!("=== {} baseline ===\n", case.name));
         detail.push_str(&render_report(&base.analysis, &base.trace.registry));

@@ -4,7 +4,9 @@ use crate::args::{parse, Parsed};
 use crate::CliError;
 use phasefold::report::{render_report, suggest_optimization};
 use phasefold::{analyze_trace, try_analyze_trace, AnalysisConfig};
-use phasefold_fleet::{compare_fingerprints, render_verdict, verdict_json, Fingerprint, MatchConfig};
+use phasefold_fleet::{
+    compare_fingerprints, render_verdict, verdict_json, CompareVerdict, Fingerprint, MatchConfig,
+};
 use phasefold_model::{prv, CounterKind, DurNs, FaultPolicy, FaultReport, RankId, TimeNs, Trace};
 use phasefold_obs as obs;
 use phasefold_simapp::workloads::{all_extended, amg, cg, fft, md, stencil, synthetic};
@@ -297,7 +299,8 @@ pub fn info(argv: &[String], out: &mut String) -> Result<(), CliError> {
 }
 
 /// Parses `--threshold R` (relative duration growth that counts as a
-/// regression; default 10%). Must be a positive finite ratio.
+/// regression; default [`MatchConfig::default`]'s). Must be a positive
+/// finite ratio.
 fn threshold_option(p: &crate::args::Parsed) -> Result<f64, CliError> {
     let t: f64 = p.get_parsed("threshold", MatchConfig::default().regression_threshold)?;
     if !(t.is_finite() && t > 0.0) {
@@ -308,7 +311,9 @@ fn threshold_option(p: &crate::args::Parsed) -> Result<f64, CliError> {
     Ok(t)
 }
 
-/// `phasefold compare`
+/// `phasefold compare`: the phase-by-phase verdict of `regress-check`
+/// (same matcher, same bytes under `--json`), reported rather than gated,
+/// plus the whole-run compute time and speedup.
 pub fn compare(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let p = parse(
         argv,
@@ -323,44 +328,46 @@ pub fn compare(argv: &[String], out: &mut String) -> Result<(), CliError> {
         ],
         &["json"],
     )?;
-    let base_path = p.positional(0, "baseline trace file")?;
-    let cand_path = p.positional(1, "candidate trace file")?;
+    let base_path = p.positional(0, "baseline (trace.prv or fingerprint.pffp)")?;
+    let cand_path = p.positional(1, "candidate (trace.prv or fingerprint.pffp)")?;
     let threshold = threshold_option(&p)?;
     let obs_req = ObsRequest::setup(&p, false)?;
-    let base_trace = load_trace(base_path)?;
-    let cand_trace = load_trace(cand_path)?;
-    let config = AnalysisConfig {
-        threads: threads_option(&p)?,
-        parallel_threshold: parallel_threshold_option(&p)?,
-        ..AnalysisConfig::default()
-    };
-    let base = analyze_trace(&base_trace, &config);
-    let cand = analyze_trace(&cand_trace, &config);
+    let verdict = match_runs(&p, base_path, cand_path, threshold)?;
     if p.has_flag("json") {
-        // Machine-readable path: the same fingerprint verdict the daemon's
-        // `POST /v1/compare` returns, with the file paths as build ids.
-        let base_fp = Fingerprint::from_analysis(&base, &base_trace.registry, base_path, "cli");
-        let cand_fp = Fingerprint::from_analysis(&cand, &cand_trace.registry, cand_path, "cli");
-        let match_cfg = MatchConfig { regression_threshold: threshold, ..MatchConfig::default() };
-        let verdict = compare_fingerprints(&base_fp, &cand_fp, &match_cfg);
         out.push_str(&verdict_json(&verdict));
         out.push('\n');
-        obs_req.finish()?;
-        return Ok(());
-    }
-    let cmp = phasefold::compare_analyses(&base, &cand);
-    out.push_str(&phasefold::render_comparison(&cmp, &base, &base_trace.registry));
-    let t_base: f64 = base.models.iter().map(|m| m.total_time_s()).sum();
-    let t_cand: f64 = cand.models.iter().map(|m| m.total_time_s()).sum();
-    if t_cand > 0.0 {
-        let _ = writeln!(
-            out,
-            "\ncompute time: {t_base:.3} s -> {t_cand:.3} s (speedup {:.3}x)",
-            t_base / t_cand
-        );
+    } else {
+        out.push_str(&render_verdict(&verdict));
+        let (t_base, t_cand) = (verdict.total_before_s, verdict.total_after_s);
+        if t_cand > 0.0 {
+            let _ = writeln!(
+                out,
+                "\ncompute time: {t_base:.3} s -> {t_cand:.3} s (speedup {:.3}x)",
+                t_base / t_cand
+            );
+        }
     }
     obs_req.finish()?;
     Ok(())
+}
+
+/// Fingerprints both runs and matches them under `threshold`: the shared
+/// core of `compare` and `regress-check`, so both print the same verdict.
+fn match_runs(
+    p: &Parsed,
+    base_path: &str,
+    cand_path: &str,
+    threshold: f64,
+) -> Result<CompareVerdict, CliError> {
+    let config = AnalysisConfig {
+        threads: threads_option(p)?,
+        parallel_threshold: parallel_threshold_option(p)?,
+        ..AnalysisConfig::default()
+    };
+    let base = load_fingerprint(base_path, None, "default", &config)?;
+    let cand = load_fingerprint(cand_path, None, "default", &config)?;
+    let match_cfg = MatchConfig { regression_threshold: threshold, ..MatchConfig::default() };
+    Ok(compare_fingerprints(&base, &cand, &match_cfg))
 }
 
 /// Loads a run artifact as a [`Fingerprint`]: a `.pffp` frame is decoded
@@ -448,15 +455,7 @@ pub fn regress_check(argv: &[String], out: &mut String) -> Result<(), CliError> 
     let base_path = p.positional(0, "baseline (trace.prv or fingerprint.pffp)")?;
     let cand_path = p.positional(1, "candidate (trace.prv or fingerprint.pffp)")?;
     let threshold = threshold_option(&p)?;
-    let config = AnalysisConfig {
-        threads: threads_option(&p)?,
-        parallel_threshold: parallel_threshold_option(&p)?,
-        ..AnalysisConfig::default()
-    };
-    let base = load_fingerprint(base_path, None, "default", &config)?;
-    let cand = load_fingerprint(cand_path, None, "default", &config)?;
-    let match_cfg = MatchConfig { regression_threshold: threshold, ..MatchConfig::default() };
-    let verdict = compare_fingerprints(&base, &cand, &match_cfg);
+    let verdict = match_runs(&p, base_path, cand_path, threshold)?;
     if p.has_flag("json") {
         out.push_str(&verdict_json(&verdict));
         out.push('\n');
@@ -482,7 +481,9 @@ pub fn selfcheck(argv: &[String], out: &mut String) -> Result<(), CliError> {
     option_names.extend(OBS_OPTIONS);
     let p = parse(argv, &option_names, &[])?;
     let threads = threads_option(&p)?;
-    let parallel_threshold = parallel_threshold_option(&p)?;
+    // Default 0, not the analysis default: the canned workload is below
+    // that threshold, and exercising the pool is selfcheck's job.
+    let parallel_threshold: usize = p.get_parsed("parallel-threshold", 0)?;
     let iterations: u64 = p.get_parsed("iterations", 300)?;
     let ranks: usize = p.get_parsed("ranks", 4)?;
     let obs_req = ObsRequest::setup(&p, true)?;

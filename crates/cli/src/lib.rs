@@ -8,6 +8,7 @@
 //!                     [--period-ms P] [--imbalance F] --out trace.prv
 //! phasefold analyze <trace.prv> [--bootstrap] [--fault-policy lenient|strict]
 //! phasefold chaos <trace.prv> --out corrupted.prv [--seed N] [--rate R]
+//! phasefold compare <base> <cand> [--threshold R] [--json]
 //! phasefold fingerprint <trace.prv> --out fp.pffp [--build ID]
 //! phasefold regress-check <base> <cand> [--threshold R] [--json]
 //! phasefold period <trace.prv> [--rank R] [--bins B]
@@ -104,9 +105,10 @@ commands:
       [--seed N] [--rate R (all corruptors)]
       [--drop R] [--truncate R] [--shuffle R] [--saturate R] [--nan R]
   info <F.prv>                      trace summary statistics + region table
-  compare <base.prv> <cand.prv>     per-phase metric deltas between two runs
-      [--json (fingerprint verdict, same shape as POST /v1/compare)]
-      [--threshold R (relative growth that counts as regression, 0.1)]
+  compare <base> <cand>             per-phase verdict between two runs plus
+      the speedup; each argument is a PRV trace or a .pffp fingerprint
+      [--json (the verdict regress-check --json and POST /v1/compare print)]
+      [--threshold R (relative growth that counts as regression, 0.08)]
       [--threads N (0 = auto)] [--parallel-threshold N]
       [--profile out.json] [--metrics out.json] [--prom out.prom]
       [--log-level L]
@@ -118,7 +120,7 @@ commands:
   regress-check <base> <cand>       deploy gate: exits non-zero iff the
       candidate run regressed vs the baseline; each argument is a PRV
       trace or a .pffp fingerprint
-      [--threshold R (default 0.1 = 10%)] [--json]
+      [--threshold R (default 0.08 = 8%)] [--json]
       [--threads N] [--parallel-threshold N]
   period <F.prv>                    detect the iterative period
       [--rank R] [--bins B]
@@ -126,7 +128,8 @@ commands:
       [--rank R] [--points N]
   selfcheck                         profile the analysis stack on a canned
       workload: stage timings + pool utilization + kernel counters
-      [--threads N] [--parallel-threshold N] [--iterations N] [--ranks N]
+      [--threads N] [--parallel-threshold N (default 0)] [--iterations N]
+      [--ranks N]
       [--profile out.json] [--metrics out.json] [--prom out.prom]
       [--log-level L]
   serve                             analysis daemon (HTTP/1.1 on std::net)
@@ -365,6 +368,25 @@ mod tests {
         let out = run_ok(&["compare", &base, &opt]);
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("->"));
+        // The fleet verdict, flux phase paired by source.
+        assert!(out.contains("verdict: clean"), "{out}");
+        assert!(out.lines().any(|l| l.contains("source/") && l.contains("flux")), "{out}");
+        assert!(out.contains("l3mpki"), "{out}");
+    }
+
+    #[test]
+    fn compare_json_is_regress_check_json_on_a_clean_pair() {
+        let base = tmp("cli_same_base.prv");
+        let same = tmp("cli_same_cand.prv");
+        run_ok(&["simulate", "synthetic", "--ranks", "2", "--iterations", "150", "--out", &base]);
+        run_ok(&[
+            "simulate", "synthetic", "--ranks", "2", "--iterations", "150", "--seed", "99",
+            "--out", &same,
+        ]);
+        let compare = run_ok(&["compare", &base, &same, "--json"]);
+        let gate = run_ok(&["regress-check", &base, &same, "--json"]);
+        assert!(compare.contains("\"regressed\":false"), "{compare}");
+        assert_eq!(compare, gate);
     }
 
     #[test]

@@ -15,9 +15,10 @@ mod json;
 use json::{parse_json, Json};
 use phasefold_cli::run;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serialises the tests: `--profile` toggles process-global obs state.
+/// Guards recover from poisoning, so one failing test reports as one.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 // ----------------------------------------------------------------- helpers
@@ -50,7 +51,7 @@ fn simulate_trace(name: &str) -> String {
 
 #[test]
 fn profile_is_valid_chrome_trace_covering_all_stages() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let trace = simulate_trace("golden.prv");
     let profile = tmp("golden_profile.json");
     let metrics = tmp("golden_metrics.json");
@@ -150,7 +151,7 @@ fn profile_is_valid_chrome_trace_covering_all_stages() {
 
 #[test]
 fn report_is_bit_identical_with_and_without_instrumentation() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let trace = simulate_trace("golden_identical.prv");
     let plain = run_ok(&["analyze", &trace]);
     let profiled = run_ok(&[
@@ -181,7 +182,7 @@ fn report_is_bit_identical_with_and_without_instrumentation() {
 
 #[test]
 fn selfcheck_smoke() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let profile = tmp("selfcheck_profile.json");
     let out = run_ok(&["selfcheck", "--threads", "2", "--profile", &profile]);
     assert!(out.contains("phasefold selfcheck"), "{out}");
@@ -194,7 +195,7 @@ fn selfcheck_smoke() {
 
 #[test]
 fn prom_export_writes_exposition_text() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let prom_path = tmp("selfcheck.prom");
     run_ok(&["selfcheck", "--threads", "2", "--prom", &prom_path]);
     let prom = std::fs::read_to_string(&prom_path).unwrap();

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod compare;
 pub mod config;
 pub mod driver;
 pub mod eval;
@@ -60,7 +59,6 @@ pub mod signal;
 pub mod srcmap;
 pub mod unfold;
 
-pub use compare::{compare_analyses, render_comparison, Comparison, MatchKind, PhaseDelta};
 pub use config::AnalysisConfig;
 pub use driver::{run_study, StudyOutput};
 pub use eval::{match_models_to_templates, rate_profile_error, score_boundaries, BoundaryScore};

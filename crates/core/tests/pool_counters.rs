@@ -9,7 +9,7 @@
 use phasefold::pool::{run, Job};
 use phasefold_obs::metrics::counter_value;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serialises the tests in this file: each toggles the global obs switch.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -82,7 +82,7 @@ fn busy_work(seed: usize) {
 
 #[test]
 fn counters_balance_at_every_thread_count() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     for threads in [1usize, 2, 8] {
         phasefold_obs::reset();
         phasefold_obs::set_enabled(true);
@@ -119,7 +119,7 @@ fn counters_balance_at_every_thread_count() {
 
 #[test]
 fn disabled_obs_records_nothing() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     phasefold_obs::reset();
     phasefold_obs::set_enabled(false);
     let hits = AtomicUsize::new(0);
@@ -145,7 +145,7 @@ fn sub_threshold_workload_takes_sequential_path() {
     use phasefold_simapp::{simulate, SimConfig};
     use phasefold_tracer::{trace_run, OverheadConfig, TracerConfig};
 
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let params = SyntheticParams { iterations: 120, ..SyntheticParams::default() };
     let program = build(&params);
     let sim = simulate(&program, &SimConfig { ranks: 2, ..SimConfig::default() });
@@ -185,7 +185,7 @@ fn sub_threshold_workload_takes_sequential_path() {
 
 #[test]
 fn repeated_runs_accumulate_monotonically() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     phasefold_obs::reset();
     phasefold_obs::set_enabled(true);
     let hits = AtomicUsize::new(0);

@@ -9,14 +9,14 @@
 use phasefold::pool::{run, Job};
 use phasefold_obs::metrics::counter_value;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serialises the tests in this file: each toggles the global obs switch.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn one_panicking_task_among_hundred_is_isolated_at_every_thread_count() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     for threads in [1usize, 2, 8] {
         phasefold_obs::reset();
         phasefold_obs::set_enabled(true);
@@ -65,7 +65,7 @@ fn one_panicking_task_among_hundred_is_isolated_at_every_thread_count() {
 
 #[test]
 fn panics_in_spawned_children_are_isolated_too() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     for threads in [1usize, 4] {
         phasefold_obs::reset();
         phasefold_obs::set_enabled(true);

@@ -1,11 +1,13 @@
 //! # phasefold-fleet
 //!
-//! Fleet-scale phase regression detection: the persistent, cross-build
-//! layer over `core::compare`. The paper's end goal is finding the small
-//! code changes that win 10–30%; at production scale the inverse matters
-//! more — detecting when a deploy *loses* 10% and naming the phase and
-//! `file:line` responsible. This crate provides the three pieces that turn
-//! the one-shot comparison into a detector a fleet can run continuously:
+//! Phase-aware comparison of two runs, and fleet-scale regression
+//! detection built on it. The paper's end goal is finding the small code
+//! changes that win 10–30%; at production scale the inverse matters more —
+//! detecting when a deploy *loses* 10% and naming the phase and
+//! `file:line` responsible. This crate is the workspace's one phase
+//! matcher: `phasefold compare`, `phasefold regress-check`,
+//! `POST /v1/compare` and the E6 case studies all read its verdict. It
+//! provides three pieces:
 //!
 //! 1. **Fingerprints** ([`Fingerprint`]): a compact, versioned per-phase
 //!    summary of an [`Analysis`](phasefold::Analysis) — breakpoints,
@@ -14,23 +16,23 @@
 //!    `PFFP v1` frame. A fingerprint is self-contained: comparing two of
 //!    them needs neither trace nor source registry resident.
 //! 2. **Store** ([`FingerprintStore`]): a content-addressed on-disk store
-//!    keyed by build id + trace identity with the same atomic
-//!    tmp/rename/dir-fsync discipline as the serve session store, so a
+//!    keyed by build id + trace identity, written with the workspace's
+//!    one atomic writer (`phasefold_model::codec::write_atomic`), so a
 //!    daemon accumulates a bounded history of builds.
 //! 3. **Matching** ([`compare_fingerprints`]): phase-aware matching across
 //!    fingerprint pairs that tolerates phases shifting, splitting and
 //!    merging between builds — source identity first, then performance
-//!    *signature* similarity (extending `core::compare`'s Source/Overlap
-//!    fallbacks with [`MatchKind::Signature`](phasefold::MatchKind)), then
-//!    span overlap, with many-to-one span coverage resolving splits and
-//!    merges — and a JSON verdict with per-phase deltas against a
-//!    regression threshold.
+//!    *signature* similarity, then span overlap, with many-to-one span
+//!    coverage resolving splits and merges — and a verdict with per-phase
+//!    duration, IPC and L3 MPKI deltas against a regression threshold,
+//!    rendered as text ([`render_verdict`]) or JSON ([`verdict_json`]).
 //!
 //! Surfaces live elsewhere: `POST /v1/fingerprints` + `POST /v1/compare`
-//! on phasefold-serve, and the CI-gateable `phasefold regress-check`
-//! subcommand. Accuracy is measured by E21 (`exp_regress`): detection
-//! recall and false-positive rate over simapp before/after pairs with
-//! injected slowdowns, gated by `scripts/regress.sh`.
+//! on phasefold-serve, and the `phasefold compare` / CI-gateable
+//! `phasefold regress-check` subcommands. Accuracy is measured by E21
+//! (`exp_regress`): detection recall and false-positive rate over simapp
+//! before/after pairs with injected slowdowns, gated by
+//! `scripts/regress.sh`.
 //!
 //! Grounded in "Tracing Optimization for Performance Modeling and
 //! Regression Detection" (arXiv:2411.17548) and the SPMD
@@ -52,7 +54,7 @@ pub use fingerprint::{
     FINGERPRINT_VERSION,
 };
 pub use matching::{
-    compare_fingerprints, render_verdict, verdict_json, CompareVerdict, MatchConfig, MatchShape,
-    PhaseNote, PhaseVerdict,
+    compare_fingerprints, render_verdict, verdict_json, CompareVerdict, MatchConfig, MatchKind,
+    MatchShape, PhaseNote, PhaseVerdict,
 };
 pub use store::{FingerprintStore, StoredFingerprint};

@@ -15,8 +15,7 @@
 //!    is invariant under uniform slowdown — a phase that got 30% slower is
 //!    still the same phase — which is exactly the case a regression
 //!    detector must not mis-read as "old phase vanished, new phase
-//!    appeared". Extends `core::compare`'s Source/Overlap fallbacks with
-//!    [`MatchKind::Signature`].
+//!    appeared".
 //! 3. **Span overlap** — one-to-one only with *mutual* coverage ≥ 60%, so
 //!    a blind overlap match cannot steal one half of a split.
 //! 4. **Split/merge** — an unmatched phase whose span is covered ≥ 80% by
@@ -31,7 +30,30 @@
 //! trips the gate.
 
 use crate::fingerprint::{ClusterFingerprint, Fingerprint, PhaseFingerprint};
-use phasefold::MatchKind;
+use phasefold_model::CounterKind;
+use phasefold_obs::export::json_escape;
+
+/// The evidence tier that paired a phase group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MatchKind {
+    /// Same source region (name + file).
+    Source,
+    /// Counter-mix signature similarity.
+    Signature,
+    /// Span overlap (one-to-one, split or merge).
+    Overlap,
+}
+
+impl MatchKind {
+    /// Stable lower-case label used in reports and JSON.
+    pub fn label(self) -> &'static str {
+        match self {
+            MatchKind::Source => "source",
+            MatchKind::Signature => "signature",
+            MatchKind::Overlap => "overlap",
+        }
+    }
+}
 
 /// Tunables of [`compare_fingerprints`].
 #[derive(Debug, Clone, Copy)]
@@ -115,6 +137,10 @@ pub struct PhaseVerdict {
     pub ipc_before: f64,
     /// Duration-weighted IPC of the candidate side.
     pub ipc_after: f64,
+    /// Duration-weighted L3 misses per kilo-instruction, baseline side.
+    pub l3_mpki_before: f64,
+    /// Duration-weighted L3 misses per kilo-instruction, candidate side.
+    pub l3_mpki_after: f64,
     /// Share of total baseline application time this group carries.
     pub time_share: f64,
     /// True when `time_share` reaches the configured minimum.
@@ -189,15 +215,28 @@ fn sources_conflict(a: &PhaseFingerprint, b: &PhaseFingerprint) -> bool {
     }
 }
 
-/// Duration-weighted IPC over a set of phases.
-fn weighted_ipc(phases: &[&PhaseFingerprint]) -> f64 {
-    let ins: f64 = phases.iter().map(|p| p.rates.as_array()[0] * p.duration_s).sum();
-    let cyc: f64 = phases.iter().map(|p| p.rates.as_array()[1] * p.duration_s).sum();
-    if cyc <= 0.0 {
+/// Duration-weighted ratio of two counters over a set of phases: total
+/// `num` events over total `den` events, 0 when there are no `den` events.
+fn weighted_ratio(phases: &[&PhaseFingerprint], num: CounterKind, den: CounterKind) -> f64 {
+    let total = |k: CounterKind| -> f64 {
+        phases.iter().map(|p| p.rates[k] * p.duration_s).sum()
+    };
+    let den = total(den);
+    if den <= 0.0 {
         0.0
     } else {
-        ins / cyc
+        total(num) / den
     }
+}
+
+/// Duration-weighted IPC over a set of phases.
+fn weighted_ipc(phases: &[&PhaseFingerprint]) -> f64 {
+    weighted_ratio(phases, CounterKind::Instructions, CounterKind::Cycles)
+}
+
+/// Duration-weighted L3 misses per kilo-instruction over a set of phases.
+fn weighted_l3_mpki(phases: &[&PhaseFingerprint]) -> f64 {
+    1e3 * weighted_ratio(phases, CounterKind::L3Misses, CounterKind::Instructions)
 }
 
 /// Counter-mix distance: RMS of per-counter log-ratios between the two
@@ -239,8 +278,7 @@ fn signature_distance(a: &PhaseFingerprint, b: &PhaseFingerprint) -> f64 {
 }
 
 /// Burst-signature distance between two clusters (mean duration +
-/// per-burst instruction total, both in log space). Mirrors
-/// `core::compare`'s cluster matcher, on fingerprint fields.
+/// per-burst instruction total, both in log space).
 fn cluster_distance(a: &ClusterFingerprint, b: &ClusterFingerprint) -> f64 {
     let dur = ((a.mean_duration_s + EPS) / (b.mean_duration_s + EPS)).ln().abs();
     let ins = ((a.total_instructions + EPS) / (b.total_instructions + EPS)).ln().abs();
@@ -503,6 +541,8 @@ pub fn compare_fingerprints(
                 duration_change,
                 ipc_before: weighted_ipc(&bset),
                 ipc_after: weighted_ipc(&cset),
+                l3_mpki_before: weighted_l3_mpki(&bset),
+                l3_mpki_after: weighted_l3_mpki(&cset),
                 time_share,
                 significant,
                 regressed,
@@ -564,23 +604,6 @@ pub fn compare_fingerprints(
 // emit exactly these bytes.
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for embedding in a JSON document.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A finite f64 as a JSON number; non-finite values become `null` (JSON
 /// has no NaN/Inf).
 fn num(v: f64) -> String {
@@ -600,7 +623,7 @@ fn opt_num(v: Option<f64>) -> String {
 
 fn opt_str(v: &Option<String>) -> String {
     match v {
-        Some(s) => format!("\"{}\"", esc(s)),
+        Some(s) => format!("\"{}\"", json_escape(s)),
         None => "null".to_string(),
     }
 }
@@ -637,6 +660,7 @@ pub fn verdict_json(v: &CompareVerdict) -> String {
                     "\"matched_by\":\"{}\",\"shape\":\"{}\",\"source\":{},",
                     "\"duration_before_s\":{},\"duration_after_s\":{},",
                     "\"duration_change\":{},\"ipc_before\":{},\"ipc_after\":{},",
+                    "\"l3_mpki_before\":{},\"l3_mpki_after\":{},",
                     "\"time_share\":{},\"significant\":{},\"regressed\":{}}}"
                 ),
                 p.cluster,
@@ -651,6 +675,8 @@ pub fn verdict_json(v: &CompareVerdict) -> String {
                 opt_num(p.duration_change),
                 num(p.ipc_before),
                 num(p.ipc_after),
+                num(p.l3_mpki_before),
+                num(p.l3_mpki_after),
                 num(p.time_share),
                 p.significant,
                 p.regressed,
@@ -665,10 +691,10 @@ pub fn verdict_json(v: &CompareVerdict) -> String {
             "\"total_before_s\":{},\"total_after_s\":{},\"total_change\":{},",
             "\"phases\":[{}],\"new_phases\":{},\"vanished_phases\":{}}}"
         ),
-        esc(&v.baseline_build),
-        esc(&v.candidate_build),
-        esc(&v.baseline_trace),
-        esc(&v.candidate_trace),
+        json_escape(&v.baseline_build),
+        json_escape(&v.candidate_build),
+        json_escape(&v.baseline_trace),
+        json_escape(&v.candidate_trace),
         num(v.threshold),
         num(v.min_time_share),
         v.regressed,
@@ -711,7 +737,8 @@ pub fn render_verdict(v: &CompareVerdict) -> String {
             let bp: Vec<String> = p.baseline_phases.iter().map(|i| i.to_string()).collect();
             let cp: Vec<String> = p.candidate_phases.iter().map(|i| i.to_string()).collect();
             out.push_str(&format!(
-                "    c{} p[{}] -> c{} p[{}]  {:9}  {:>7}  ipc {:.2} -> {:.2}  share {:4.1}%  {}{}\n",
+                "    c{} p[{}] -> c{} p[{}]  {:9}  {:>7}  ipc {:.2} -> {:.2}  \
+                 l3mpki {:.2} -> {:.2}  share {:4.1}%  {}{}\n",
                 p.cluster,
                 bp.join(","),
                 p.candidate_cluster,
@@ -720,6 +747,8 @@ pub fn render_verdict(v: &CompareVerdict) -> String {
                 pct(p.duration_change),
                 p.ipc_before,
                 p.ipc_after,
+                p.l3_mpki_before,
+                p.l3_mpki_after,
                 p.time_share * 100.0,
                 p.source.as_deref().unwrap_or("-"),
                 if p.regressed { "  [REGRESSED]" } else { "" },

@@ -4,10 +4,10 @@
 //! Each fingerprint owns one file, `{key}.pffp`, where `key` is the 16-hex
 //! FNV-1a 64 of `build_id NUL trace_id` — the identity, not the content, so
 //! re-fingerprinting the same build+trace *replaces* the old entry instead
-//! of accumulating near-duplicates. Writes use the same atomic discipline
-//! as the serve session store (tmp file, fsync, rename, directory fsync):
-//! a crash mid-`put` leaves either the old fingerprint or the new one,
-//! never a torn frame.
+//! of accumulating near-duplicates. Writes go through
+//! [`codec::write_atomic`] (tmp file, fsync, rename, directory fsync), the
+//! helper the serve session store also uses: a crash mid-`put` leaves
+//! either the old fingerprint or the new one, never a torn frame.
 //!
 //! The store is bounded: `max_entries` caps the file count and `gc` evicts
 //! oldest-modified first, so a CI fleet posting fingerprints on every
@@ -76,19 +76,7 @@ impl FingerprintStore {
     /// enforces the retention bound. Returns the store key.
     pub fn put(&self, fp: &Fingerprint) -> io::Result<String> {
         let key = store_key(&fp.build_id, &fp.trace_id);
-        let framed = fp.encode();
-        let tmp = self.dir.join(format!("{key}.{EXT}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            use std::io::Write as _;
-            f.write_all(&framed)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, self.dir.join(format!("{key}.{EXT}")))?;
-        // Make the rename itself durable.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_data();
-        }
+        codec::write_atomic(&self.dir.join(format!("{key}.{EXT}")), &fp.encode())?;
         self.gc()?;
         Ok(key)
     }

@@ -5,56 +5,11 @@
 //! the duration delta computed over the whole group, so a pure structural
 //! change reads as ~0% and never trips the gate.
 
-use phasefold::MatchKind;
-use phasefold_fleet::{
-    compare_fingerprints, ClusterFingerprint, Fingerprint, MatchConfig, MatchShape,
-    PhaseFingerprint, SourceRef,
-};
+mod common;
+
+use common::{fp, phase};
+use phasefold_fleet::{compare_fingerprints, MatchConfig, MatchKind, MatchShape};
 use phasefold_model::{CounterKind, CounterSet};
-
-fn rates(ipc: f64) -> CounterSet {
-    let clock = 2.5e9;
-    let mut r = CounterSet::ZERO;
-    r[CounterKind::Instructions] = ipc * clock;
-    r[CounterKind::Cycles] = clock;
-    r[CounterKind::Loads] = 0.3 * ipc * clock;
-    r[CounterKind::FpOps] = 0.2 * ipc * clock;
-    r
-}
-
-fn phase(index: usize, x0: f64, x1: f64, ipc: f64, src: Option<&str>) -> PhaseFingerprint {
-    PhaseFingerprint {
-        index,
-        x0,
-        x1,
-        duration_s: (x1 - x0) * 1e-3,
-        rates: rates(ipc),
-        source: src.map(|name| SourceRef {
-            name: name.to_string(),
-            file: "kernels.c".to_string(),
-            line: 10 + 10 * index as u32,
-            confidence: 0.85,
-        }),
-    }
-}
-
-fn fp(build: &str, phases: Vec<PhaseFingerprint>) -> Fingerprint {
-    let total_instructions = phases.iter().map(|p| p.rates.as_array()[0] * p.duration_s).sum();
-    Fingerprint {
-        build_id: build.to_string(),
-        trace_id: "fixture".to_string(),
-        num_bursts: 128,
-        clusters: vec![ClusterFingerprint {
-            cluster: 0,
-            instances: 128,
-            mean_duration_s: phases.iter().map(|p| p.duration_s).sum(),
-            total_instructions,
-            breakpoints: Vec::new(),
-            slopes: Vec::new(),
-            phases,
-        }],
-    }
-}
 
 /// Shift: the boundary between two phases drifted by 20% of the burst.
 /// Source identity must pair them regardless; zero churn, zero regression.

@@ -27,6 +27,8 @@ use crate::fault::{Fault, FaultKind, Provenance, Severity};
 use crate::time::TimeNs;
 use crate::trace::RankId;
 use std::fmt;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Offset-based FNV-1a 64-bit hash (the same function the serve cache
 /// keys with); dependency-free and stable across platforms.
@@ -315,6 +317,26 @@ pub fn unframe(magic: u32, max_version: u32, bytes: &[u8]) -> Result<(u32, &[u8]
         return Err(CodecError::BadVersion { found: version, max: max_version });
     }
     Ok((version, &bytes[16..body_end]))
+}
+
+/// Atomically replaces `path` with `bytes`: write `<path>.tmp`, fsync it,
+/// rename it over `path`, then fsync the directory (best effort) so the
+/// rename itself is durable. A crash at any point leaves either the old
+/// file or the new one, never a torn mix.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(Ok(dir)) = path.parent().map(std::fs::File::open) {
+        let _ = dir.sync_data();
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

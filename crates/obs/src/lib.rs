@@ -195,6 +195,15 @@ pub fn reset() {
     hist::reset_hists();
 }
 
+/// Serialises this crate's unit tests that toggle [`set_enabled`] or drain
+/// spans: both are process-global, and the harness runs tests
+/// concurrently. Recovers from poisoning so one failure reports as one.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Opens a span that closes when the returned guard drops.
 ///
 /// The format arguments are only evaluated when observability is enabled.

@@ -202,13 +202,12 @@ mod tests {
     use super::*;
 
     // The span registry and the enabled flag are process-global; these
-    // tests serialise on a module lock and filter drained spans by their
-    // own names so the rest of the suite cannot interfere.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    // tests serialise on the crate's test lock and filter drained spans by
+    // their own names so the rest of the suite cannot interfere.
 
     #[test]
     fn disabled_spans_record_nothing_and_skip_the_name() {
-        let _serial = TEST_LOCK.lock().unwrap();
+        let _serial = crate::test_lock();
         crate::set_enabled(false);
         let mut evaluated = false;
         {
@@ -224,7 +223,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_are_recorded_with_consistent_times() {
-        let _serial = TEST_LOCK.lock().unwrap();
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         {
             let _outer = crate::span!("test.s.outer");
@@ -244,7 +243,7 @@ mod tests {
 
     #[test]
     fn traced_spans_carry_ids_and_parentage() {
-        let _serial = TEST_LOCK.lock().unwrap();
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let ctx = crate::trace::TraceCtx::mint();
         {
@@ -265,14 +264,17 @@ mod tests {
 
     #[test]
     fn worker_thread_spans_flush_on_exit() {
-        let _serial = TEST_LOCK.lock().unwrap();
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                set_lane_name("test-worker");
-                let _g = crate::span!("test.s.worker");
-            });
-        });
+        // An explicit join waits for the thread to exit, TLS destructors
+        // included; the implicit join at the end of `thread::scope` only
+        // waits for the closure, so it can return before the flush.
+        std::thread::spawn(|| {
+            set_lane_name("test-worker");
+            let _g = crate::span!("test.s.worker");
+        })
+        .join()
+        .unwrap();
         crate::set_enabled(false);
         let (spans, lanes) = take_spans();
         let ev = spans.iter().find(|s| s.name == "test.s.worker").expect("worker span flushed");

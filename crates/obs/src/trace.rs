@@ -209,6 +209,7 @@ mod tests {
 
     #[test]
     fn spans_inherit_trace_and_parentage_across_threads() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let ctx = TraceCtx::mint();
         begin_capture(ctx.trace_id());
@@ -237,6 +238,7 @@ mod tests {
 
     #[test]
     fn capture_is_scoped_to_one_trace() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let watched = TraceCtx::mint();
         let other = TraceCtx::mint();

@@ -14,20 +14,9 @@
 //! a `--cache-dir` so repeated submissions survive a daemon restart.
 
 use phasefold::AnalysisConfig;
+use phasefold_model::codec::fnv1a64;
 use std::collections::HashMap;
 use std::path::PathBuf;
-
-/// 64-bit FNV-1a over arbitrary bytes. Dependency-free and stable across
-/// platforms/runs — exactly what a content address needs (this is a cache
-/// key, not a security boundary).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A second, independent 64-bit FNV-1a with a different offset basis (the
 /// low half of the 128-bit FNV basis) and a different odd multiplier (the
@@ -185,8 +174,8 @@ impl ResultCache {
                         self.insert_memory(*key, *witness, report.clone());
                         return Some(report);
                     }
-                    // Witness mismatch, a pre-witness (v1) file, or a
-                    // truncated write: unverifiable, so a miss.
+                    // Witness mismatch, a v1/v2 file, or a truncated
+                    // write: unverifiable, so a miss.
                     Some(_) | None => return self.verify_miss(),
                 }
             }
@@ -251,22 +240,30 @@ impl ResultCache {
     }
 }
 
-/// Spill file layout: a one-line witness header, then the raw report
-/// bytes. The header makes disk hits verifiable after a daemon restart,
-/// when the in-memory witness is gone.
+/// Spill file layout: a one-line header carrying the trace witness and
+/// the report's byte length, then the raw report bytes. The witness makes
+/// disk hits verifiable after a daemon restart, when the in-memory witness
+/// is gone; the length makes a torn write (a daemon killed mid-spill)
+/// detectable, since the file is written in place.
 fn render_spill(witness: &TraceWitness, report: &str) -> String {
-    format!("phasefold-cache v2 {} {:016x}\n{report}", witness.len, witness.alt)
+    format!(
+        "phasefold-cache v3 {} {:016x} {}\n{report}",
+        witness.len,
+        witness.alt,
+        report.len()
+    )
 }
 
 fn parse_spill(raw: &str) -> Option<(TraceWitness, &str)> {
     let (header, report) = raw.split_once('\n')?;
     let mut parts = header.split(' ');
-    if parts.next() != Some("phasefold-cache") || parts.next() != Some("v2") {
+    if parts.next() != Some("phasefold-cache") || parts.next() != Some("v3") {
         return None;
     }
     let len = parts.next()?.parse::<u64>().ok()?;
     let alt = u64::from_str_radix(parts.next()?, 16).ok()?;
-    if parts.next().is_some() {
+    let report_len = parts.next()?.parse::<usize>().ok()?;
+    if parts.next().is_some() || report.len() != report_len {
         return None;
     }
     Some((TraceWitness { len, alt }, report))
@@ -361,7 +358,7 @@ mod tests {
 
     #[test]
     fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
+        // The content address is standard FNV-1a 64 (test vectors).
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
@@ -432,6 +429,16 @@ mod tests {
         std::fs::write(dir.join(k(3).hex() + ".report"), "legacy v1 body").unwrap();
         assert_eq!(cache.get(&k(3), &w(3)), None);
         assert_eq!(cache.stats().verify_failures, 2);
+        // A v2 file has no report length, so tearing is undetectable: miss.
+        let v2 = format!("phasefold-cache v2 {} {:016x}\nv2 body", w(4).len, w(4).alt);
+        std::fs::write(dir.join(k(4).hex() + ".report"), v2).unwrap();
+        assert_eq!(cache.get(&k(4), &w(4)), None);
+        assert_eq!(cache.stats().verify_failures, 3);
+        // A daemon killed mid-spill: valid header, report cut short: miss.
+        let full = render_spill(&w(5), "FULL REPORT BODY");
+        std::fs::write(dir.join(k(5).hex() + ".report"), &full[..full.len() - 6]).unwrap();
+        assert_eq!(cache.get(&k(5), &w(5)), None);
+        assert_eq!(cache.stats().verify_failures, 4);
         // The rightful owner of k(1) still gets its report back from disk.
         assert_eq!(cache.get(&k(1), &w(1)).as_deref(), Some("disk report"));
         let _ = std::fs::remove_dir_all(&dir);

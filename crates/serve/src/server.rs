@@ -45,7 +45,7 @@
 //! always-on lock-free latency histograms (`serve.latency.*`,
 //! `serve.queue_wait`, `serve.analyze_time`, `serve.cache_lookup`).
 
-use crate::cache::{fnv1a64, fnv1a64_alt, CacheKey, ShardedCache, TraceWitness};
+use crate::cache::{fnv1a64_alt, CacheKey, ShardedCache, TraceWitness};
 use crate::event::{EventCore, ReplySlot};
 use crate::http::{self, Request};
 use crate::queue::{lock_recover, JobQueue, SubmitError};
@@ -56,6 +56,7 @@ use crate::wal::Wal;
 use phasefold::report::render_report;
 use phasefold::{try_analyze_trace, AnalysisConfig, FaultPolicy, OnlineAnalyzer};
 use phasefold_fleet::{compare_fingerprints, verdict_json, Fingerprint, FingerprintStore, MatchConfig};
+use phasefold_model::codec::fnv1a64;
 use phasefold_model::prv;
 use phasefold_model::{Fault, FaultKind, Severity};
 use phasefold_obs::export::json_escape;

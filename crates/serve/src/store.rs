@@ -9,8 +9,9 @@
 //! * `{id}.wal` — under `--durability wal`, every acknowledged record
 //!   batch since that checkpoint (see [`crate::wal`]).
 //!
-//! Checkpoints are written atomically (tmp + rename + directory fsync), so
-//! a crash mid-checkpoint leaves the previous checkpoint intact. Recovery
+//! Checkpoints are written atomically with [`codec::write_atomic`] (tmp +
+//! fsync + rename + directory fsync), so a crash mid-checkpoint leaves the
+//! previous checkpoint intact. Recovery
 //! ([`SessionStore::recover`]) scans `*.ckpt`, restores each analyzer, and
 //! replays WAL entries with `seq > applied_seq` through
 //! [`apply_record_lines`] — the *same* function the live request handler
@@ -136,9 +137,9 @@ impl SessionStore {
         self.dir.join(format!("{id}.wal"))
     }
 
-    /// Atomically replaces `id`'s checkpoint: frame to a temp file, fsync
-    /// it, rename over the old checkpoint, fsync the directory. A crash at
-    /// any point leaves either the old or the new checkpoint intact.
+    /// Atomically replaces `id`'s checkpoint ([`codec::write_atomic`]). A
+    /// crash at any point leaves either the old or the new checkpoint
+    /// intact.
     pub fn write_checkpoint(
         &self,
         id: &str,
@@ -154,20 +155,7 @@ impl SessionStore {
         w.put_u64(applied_seq);
         w.put_bytes(&analyzer.encode_checkpoint());
         let framed = codec::frame(STORE_MAGIC, STORE_VERSION, &w.into_bytes());
-
-        let tmp = self.dir.join(format!("{id}.ckpt.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            use std::io::Write as _;
-            f.write_all(&framed)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, self.ckpt_path(id))?;
-        // Make the rename itself durable.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_data();
-        }
-        Ok(())
+        codec::write_atomic(&self.ckpt_path(id), &framed)
     }
 
     /// Deletes every on-disk artifact of `id` (checkpoint, WAL, quarantined

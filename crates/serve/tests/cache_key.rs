@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use phasefold::AnalysisConfig;
 use phasefold_model::{
-    prv, CommKind, CounterSet, RankId, Record, RegionKind, SourceRegistry, TimeNs, Trace,
+    codec, prv, CommKind, CounterSet, RankId, Record, RegionKind, SourceRegistry, TimeNs, Trace,
 };
 use phasefold_serve::cache::{config_fingerprint, CacheKey, ResultCache, TraceWitness};
 use phasefold_serve::Client;
@@ -121,8 +121,8 @@ proptest! {
             rb.push(r).expect("monotonic");
         }
         prop_assert_ne!(
-            phasefold_serve::cache::fnv1a64(prv::write_trace(&trace).as_bytes()),
-            phasefold_serve::cache::fnv1a64(prv::write_trace(&rebuilt).as_bytes()),
+            codec::fnv1a64(prv::write_trace(&trace).as_bytes()),
+            codec::fnv1a64(prv::write_trace(&rebuilt).as_bytes()),
         );
     }
 

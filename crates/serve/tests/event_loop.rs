@@ -8,7 +8,17 @@ use common::{boot, test_config, trace_text};
 use phasefold_serve::{Client, ServeConfig};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Serialises this file's tests. Each boots its own daemon, and
+/// `teardown_joins_every_serve_thread` counts every `serve-` thread in the
+/// process, so a sibling's daemon must not be up while it counts.
+/// Recovers from poisoning, so one failing test reports as one.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Threads of this process whose name starts with `prefix` (Linux).
 fn threads_named(prefix: &str) -> usize {
@@ -27,6 +37,7 @@ fn threads_named(prefix: &str) -> usize {
 /// and idle connections close on the next loop turn.
 #[test]
 fn drain_with_idle_keepalive_is_prompt() {
+    let _serial = serial();
     let read_timeout = Duration::from_secs(10);
     let (handle, addr) = boot(ServeConfig { read_timeout, ..test_config() });
 
@@ -60,6 +71,7 @@ fn drain_with_idle_keepalive_is_prompt() {
 /// connection JoinHandles that were unfinished at drain time).
 #[test]
 fn teardown_joins_every_serve_thread() {
+    let _serial = serial();
     let before = threads_named("serve-");
     let (handle, addr) = boot(test_config());
     let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
@@ -82,6 +94,7 @@ fn teardown_joins_every_serve_thread() {
 /// serving the healthy connection on the same shard.
 #[test]
 fn slow_writer_cannot_stall_shard_siblings() {
+    let _serial = serial();
     let (handle, addr) = boot(ServeConfig {
         event_shards: 1,
         read_timeout: Duration::from_secs(10),
@@ -121,6 +134,7 @@ fn slow_writer_cannot_stall_shard_siblings() {
 /// no response lies about being a cache hit.
 #[test]
 fn concurrent_identical_bodies_coalesce() {
+    let _serial = serial();
     let (handle, addr) = boot(test_config());
     let body = trace_text(60, 2, 23);
 

@@ -29,6 +29,12 @@
 # tool-lint attributes silently; this script runs clippy on the owning
 # crates so the deny actually bites.
 #
+# It then runs the two test sets that share process-global state between
+# concurrently running tests (the obs span registry and enabled flag; the
+# serve event-loop tests' thread census) 20 times each, so an
+# order-dependent test shows up as a failure here rather than as an
+# occasional red tier-1 run.
+#
 # Usage:
 #   scripts/lint.sh
 
@@ -39,5 +45,21 @@ echo "== clippy: fault-critical crates (unwrap/expect are hard errors) =="
 cargo clippy -q -p phasefold -p phasefold-model -p phasefold-serve -p phasefold-verify \
     -p phasefold-regress -p phasefold-cluster -p phasefold-obs -p phasefold-fleet \
     --all-targets
+
+echo "== repeat runs: tests sharing process-global state (20x each) =="
+repeat() {
+    local label=$1
+    shift
+    for i in $(seq 1 20); do
+        if ! out=$("$@" 2>&1); then
+            echo "$out"
+            echo "FAIL: $label failed on run $i of 20"
+            exit 1
+        fi
+    done
+    echo "$label: 20/20 passed"
+}
+repeat "phasefold-obs --lib" cargo test -q -p phasefold-obs --lib
+repeat "phasefold-serve --test event_loop" cargo test -q -p phasefold-serve --test event_loop
 
 echo "lint OK"
