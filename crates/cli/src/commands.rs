@@ -7,7 +7,7 @@ use phasefold::{analyze_trace, try_analyze_trace, AnalysisConfig};
 use phasefold_fleet::{
     compare_fingerprints, render_verdict, verdict_json, CompareVerdict, Fingerprint, MatchConfig,
 };
-use phasefold_model::{prv, CounterKind, DurNs, FaultPolicy, FaultReport, RankId, TimeNs, Trace};
+use phasefold_model::{prv, CounterKind, DurNs, FaultPolicy, RankId, TimeNs, Trace};
 use phasefold_obs as obs;
 use phasefold_simapp::workloads::{all_extended, amg, cg, fft, md, stencil, synthetic};
 use phasefold_simapp::{simulate as sim_run, NoiseConfig, Program, SimConfig};
@@ -253,13 +253,8 @@ pub fn analyze(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let obs_req = ObsRequest::setup(&p, false)?;
     // Lenient parsing quarantines defective records and carries their
     // faults into the analysis report; strict parsing fails on the first.
-    let (trace, parse_faults) = match policy {
-        FaultPolicy::Strict => (load_trace(path)?, FaultReport::new()),
-        FaultPolicy::Lenient => {
-            let text = std::fs::read_to_string(path)?;
-            prv::parse_trace_lenient(&text)?
-        }
-    };
+    let text = std::fs::read_to_string(path)?;
+    let (trace, parse_faults) = prv::parse_trace_with(&text, policy)?;
     let mut config = AnalysisConfig::default();
     config.threads = threads_option(&p)?;
     config.parallel_threshold = parallel_threshold_option(&p)?;
@@ -390,14 +385,22 @@ fn load_fingerprint(
     }
     let text = String::from_utf8(bytes)
         .map_err(|_| CliError::Other(format!("{path} is neither a .pffp frame nor UTF-8 PRV")))?;
-    let trace = prv::parse_trace(&text)?;
+    fingerprint_prv(&text, config, build.unwrap_or(path), trace_id)
+}
+
+/// Parses PRV text under the config's fault policy (as `analyze` and the
+/// daemon do) and fingerprints the analysis. A trace too broken to read
+/// at all reports the parser's typed error under either policy.
+fn fingerprint_prv(
+    text: &str,
+    config: &AnalysisConfig,
+    build: &str,
+    trace_id: &str,
+) -> Result<Fingerprint, CliError> {
+    let (trace, _) =
+        prv::parse_trace_with(text, config.fault_policy).map_err(|e| CliError::Trace(e.error))?;
     let analysis = try_analyze_trace(&trace, config)?;
-    Ok(Fingerprint::from_analysis(
-        &analysis,
-        &trace.registry,
-        build.unwrap_or(path),
-        trace_id,
-    ))
+    Ok(Fingerprint::from_analysis(&analysis, &trace.registry, build, trace_id))
 }
 
 /// `phasefold fingerprint`: condenses a trace into a versioned `.pffp`
@@ -426,9 +429,7 @@ pub fn fingerprint(argv: &[String], out: &mut String) -> Result<(), CliError> {
         fault_policy: fault_policy_option(&p)?,
         ..AnalysisConfig::default()
     };
-    let trace = load_trace(path)?;
-    let analysis = try_analyze_trace(&trace, &config)?;
-    let fp = Fingerprint::from_analysis(&analysis, &trace.registry, &build, trace_id);
+    let fp = fingerprint_prv(&std::fs::read_to_string(path)?, &config, &build, trace_id)?;
     let frame = fp.encode();
     std::fs::write(&out_path, &frame)?;
     let _ = writeln!(

@@ -68,6 +68,17 @@ impl From<phasefold_model::ModelError> for CliError {
     }
 }
 
+/// A failed parse reports the way its policy's parser words it: the
+/// typed error when strict, the fatal fault when lenient.
+impl From<phasefold_model::prv::ParseFailure> for CliError {
+    fn from(e: phasefold_model::prv::ParseFailure) -> CliError {
+        match e.policy {
+            phasefold_model::FaultPolicy::Strict => CliError::Trace(e.error),
+            phasefold_model::FaultPolicy::Lenient => CliError::Fault(e.fault()),
+        }
+    }
+}
+
 impl From<phasefold_model::Fault> for CliError {
     fn from(e: phasefold_model::Fault) -> CliError {
         CliError::Fault(e)
@@ -525,6 +536,40 @@ mod tests {
         let mut json = String::new();
         let _ = run(&argv(&["regress-check", &base, &slow, "--json"]), &mut json);
         assert!(json.contains("\"regressed\":true"), "{json}");
+    }
+
+    #[test]
+    fn fingerprint_and_regress_check_parse_like_analyze() {
+        let clean = tmp("cli_parity_clean.prv");
+        run_ok(&["simulate", "stencil", "--ranks", "2", "--out", &clean]);
+        let dirty = tmp("cli_parity_dirty.prv");
+        let mut text = std::fs::read_to_string(&clean).unwrap();
+        text.push_str("R 0 bogus line\n");
+        std::fs::write(&dirty, text).unwrap();
+
+        // Lenient quarantines the malformed line, so both traces condense
+        // to the same fingerprint.
+        let fp_clean = tmp("cli_parity_clean.pffp");
+        let fp_dirty = tmp("cli_parity_dirty.pffp");
+        run_ok(&["fingerprint", &clean, "--out", &fp_clean, "--build", "b"]);
+        run_ok(&[
+            "fingerprint", &dirty, "--out", &fp_dirty, "--build", "b", "--fault-policy", "lenient",
+        ]);
+        assert_eq!(std::fs::read(&fp_clean).unwrap(), std::fs::read(&fp_dirty).unwrap());
+
+        // Strict still stops at the bad line, with the parser's wording.
+        let mut out = String::new();
+        let err = run(
+            &argv(&["fingerprint", &dirty, "--out", &fp_dirty, "--fault-policy", "strict"]),
+            &mut out,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CliError::Trace(_)), "{err:?}");
+
+        // The gate parses under the default (lenient) policy, as analyze
+        // does, and exits 0 on the clean verdict.
+        let json = run_ok(&["regress-check", "--json", &clean, &dirty]);
+        assert!(json.contains("\"regressed\":false"), "{json}");
     }
 
     #[test]

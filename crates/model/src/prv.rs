@@ -28,7 +28,7 @@ use crate::callstack::{CallStack, RegionId, RegionKind, SourceRegistry};
 use crate::counter::{CounterKind, CounterSet, PartialCounterSet, NUM_COUNTERS};
 use crate::error::ModelError;
 use crate::event::{CommKind, Record, Sample};
-use crate::fault::{Fault, FaultReport, Severity};
+use crate::fault::{Fault, FaultPolicy, FaultReport, Severity};
 use crate::time::TimeNs;
 use crate::trace::{RankId, Trace};
 use std::fmt::Write as _;
@@ -245,12 +245,55 @@ pub fn parse_trace(input: &str) -> Result<Trace, ModelError> {
 /// header, missing `#RANKS`, non-dense region table) are still fatal and
 /// returned as an `Err` with [`Severity::Fatal`].
 pub fn parse_trace_lenient(input: &str) -> Result<(Trace, FaultReport), Fault> {
+    parse_trace_with(input, FaultPolicy::Lenient).map_err(|e| e.fault())
+}
+
+/// Parses under `policy`: [`parse_trace`] when strict (the report comes
+/// back empty), [`parse_trace_lenient`] when lenient. This is the one
+/// place a fault policy picks the parser, so every surface that accepts a
+/// trace — CLI commands and daemon endpoints alike — reads the same bytes
+/// into the same trace.
+pub fn parse_trace_with(
+    input: &str,
+    policy: FaultPolicy,
+) -> Result<(Trace, FaultReport), ParseFailure> {
     let mut report = FaultReport::new();
-    match parse_impl(input, Some(&mut report)) {
+    let faults = (policy == FaultPolicy::Lenient).then_some(&mut report);
+    match parse_impl(input, faults) {
         Ok(trace) => Ok((trace, report)),
-        Err(e) => Err(Fault::from(e).severity(Severity::Fatal)),
+        Err(error) => Err(ParseFailure { policy, error }),
     }
 }
+
+/// Why [`parse_trace_with`] gave up: the first defect (strict) or the
+/// structural one (lenient). It renders the way the policy's own parser
+/// reports it — the [`ModelError`] under strict, the fatal [`Fault`]
+/// under lenient.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParseFailure {
+    /// The policy the parse ran under.
+    pub policy: FaultPolicy,
+    /// The defect that stopped it.
+    pub error: ModelError,
+}
+
+impl ParseFailure {
+    /// The failure as the fatal fault [`parse_trace_lenient`] returns.
+    pub fn fault(&self) -> Fault {
+        Fault::from(self.error.clone()).severity(Severity::Fatal)
+    }
+}
+
+impl std::fmt::Display for ParseFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.policy {
+            FaultPolicy::Strict => self.error.fmt(f),
+            FaultPolicy::Lenient => self.fault().fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ParseFailure {}
 
 /// Shared parser core. With `faults: None` every error propagates (strict
 /// mode); with `Some(report)` body-record errors are recorded and the line
@@ -633,6 +676,22 @@ mod tests {
         assert_eq!(f.provenance.line, Some(4));
         // Strict mode rejects the same input.
         assert!(parse_trace(input).is_err());
+    }
+
+    #[test]
+    fn parse_with_policy_matches_each_parser_and_its_wording() {
+        let dirty = "#PHASEFOLD_TRACE v1\n#RANKS 1\nR 0 E 100 0\nR 0 bogus line\nS 0 500 - -\n";
+        let strict = parse_trace_with(dirty, FaultPolicy::Strict).unwrap_err();
+        assert_eq!(strict.to_string(), parse_trace(dirty).unwrap_err().to_string());
+        let (t, report) = parse_trace_with(dirty, FaultPolicy::Lenient).unwrap();
+        let (t_len, report_len) = parse_trace_lenient(dirty).unwrap();
+        assert_eq!(write_trace(&t), write_trace(&t_len));
+        assert_eq!(report, report_len);
+        let (_, clean_report) = parse_trace_with(&write_trace(&t), FaultPolicy::Strict).unwrap();
+        assert!(clean_report.is_empty());
+        let fatal = parse_trace_with("#NOT_A_TRACE\n", FaultPolicy::Lenient).unwrap_err();
+        let lenient_fatal = parse_trace_lenient("#NOT_A_TRACE\n").unwrap_err();
+        assert_eq!(fatal.to_string(), lenient_fatal.to_string());
     }
 
     #[test]

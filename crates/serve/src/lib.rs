@@ -21,7 +21,7 @@
 //! queue, and every protocol defect maps onto a 4xx/5xx answer.
 
 #![warn(missing_docs)]
-// Overridden only in `shutdown` (signal(2)) and `sys` (epoll/poll/pipe):
+// Overridden only in `shutdown` (signal(2)) and `sys` (epoll/pipe, Linux):
 // the raw readiness syscalls behind the event loop.
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]

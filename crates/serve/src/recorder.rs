@@ -46,13 +46,14 @@ pub struct RequestSummary {
 
 impl RequestSummary {
     /// One single-line JSON object (greppable, like the metrics export).
-    pub fn to_json(&self) -> String {
+    /// A retained slow request also reports how many spans it kept.
+    pub fn to_json(&self, spans_retained: Option<usize>) -> String {
         let mut out = String::with_capacity(160);
         let _ = write!(
             out,
             "{{ \"id\": {}, \"endpoint\": \"{}\", \"path\": \"{}\", \"status\": {}, \
              \"queue_ms\": {:.3}, \"analyze_ms\": {:.3}, \"total_ms\": {:.3}, \
-             \"cache_hit\": {}, \"faults\": {} }}",
+             \"cache_hit\": {}, \"faults\": {}",
             self.id,
             self.endpoint,
             json_escape(&self.path),
@@ -63,6 +64,10 @@ impl RequestSummary {
             self.cache_hit,
             self.faults,
         );
+        if let Some(n) = spans_retained {
+            let _ = write!(out, ", \"spans_retained\": {n}");
+        }
+        out.push_str(" }");
         out
     }
 }
@@ -206,9 +211,12 @@ mod tests {
 
     #[test]
     fn summary_json_is_single_line() {
-        let json = summary(7, 2_000_000).to_json();
+        let json = summary(7, 2_000_000).to_json(None);
         assert!(!json.contains('\n'));
         assert!(json.contains("\"id\": 7"));
         assert!(json.contains("\"total_ms\": 2.000"));
+        assert!(json.ends_with("\"faults\": 0 }"), "{json}");
+        let slow = summary(7, 2_000_000).to_json(Some(3));
+        assert!(slow.ends_with("\"faults\": 0, \"spans_retained\": 3 }"), "{slow}");
     }
 }

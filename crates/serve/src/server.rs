@@ -943,15 +943,12 @@ fn debug_requests(state: &Arc<State>) -> Reply {
     body.push_str("{\n\"schema\": \"phasefold-serve-debug/1\",\n\"recent\": [\n");
     for (i, s) in recent.iter().enumerate() {
         let comma = if i + 1 < recent.len() { "," } else { "" };
-        let _ = writeln!(body, "{}{comma}", s.to_json());
+        let _ = writeln!(body, "{}{comma}", s.to_json(None));
     }
     body.push_str("],\n\"slowest\": [\n");
     for (i, (s, span_count)) in slowest.iter().enumerate() {
         let comma = if i + 1 < slowest.len() { "," } else { "" };
-        let mut line = s.to_json();
-        // Splice the retained span count into the summary object.
-        line.truncate(line.len() - 2);
-        let _ = writeln!(body, "{line}, \"spans_retained\": {span_count} }}{comma}");
+        let _ = writeln!(body, "{}{comma}", s.to_json(Some(*span_count)));
     }
     body.push_str("]\n}\n");
     Reply::json(200, "OK", body)
@@ -1012,43 +1009,6 @@ fn remember_raw(state: &State, fkey: FlightKey, entry: RawEntry) {
     index.insert(fkey, entry);
 }
 
-/// Delivers one analysis outcome to every connection that waited on it.
-/// Runs on `Drop` so a panicking job still answers its waiters (with a
-/// 500) instead of leaving connections parked until the drain.
-struct FlightGuard {
-    state: Arc<State>,
-    fkey: FlightKey,
-    reply: Option<Reply>,
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        let template = self.reply.take().unwrap_or_else(|| {
-            Reply::text(500, "Internal Server Error", "analysis job died or timed out\n".into())
-        });
-        let waiters = lock_recover(&self.state.flights).remove(&self.fkey).unwrap_or_default();
-        let missed = template
-            .headers
-            .iter()
-            .any(|(n, v)| n == "x-cache" && v == "miss");
-        for (i, slot) in waiters.into_iter().enumerate() {
-            let mut reply = template.clone();
-            // Only the submitter truly missed; coalesced waiters got the
-            // submitter's computation, which is neither a cache hit nor a
-            // miss of their own. The header must say so — clients treat
-            // an exact `hit` as proof the cache served them.
-            if i > 0 && missed {
-                for (n, v) in reply.headers.iter_mut() {
-                    if n == "x-cache" {
-                        *v = "coalesced".to_string();
-                    }
-                }
-            }
-            self.state.deliver(slot, reply);
-        }
-    }
-}
-
 fn analyze(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
     let config = match effective_config(state, req) {
         Ok(c) => c,
@@ -1079,11 +1039,9 @@ fn analyze(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
     // Single-flight: identical bodies already being analyzed get their
     // connection parked on the existing flight instead of burning a
     // second queue slot on the same computation. The flights lock is
-    // held across `try_submit` so a completing job cannot deliver
+    // held across the submission so a completing job cannot deliver
     // between registration and submission.
     let body = std::mem::take(&mut req.body);
-    let trace_ctx = TraceCtx::current();
-    let submitted = Instant::now();
     let mut flights = lock_recover(&state.flights);
     if let Some(waiters) = flights.get_mut(&fkey) {
         waiters.push(slot);
@@ -1091,35 +1049,14 @@ fn analyze(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
         return Routed::Pending;
     }
     flights.insert(fkey, vec![slot]);
-    let job_state = Arc::clone(state);
-    let job = Box::new(move || {
-        let mut guard = FlightGuard { state: job_state, fkey, reply: None };
-        let queue_ns = submitted.elapsed().as_nanos() as u64;
-        phasefold_obs::histogram!("serve.queue_wait", queue_ns);
-        // The span must close (and be captured) before the reply is
-        // delivered: the shard ends the capture as soon as it lands.
-        let reply = {
-            let _adopt = trace_ctx.map(TraceCtx::adopt);
-            let _sp = phasefold_obs::span!("serve.analyze_job");
-            compute_analyze_reply(&guard.state, fkey, &body, &config, queue_ns)
-        };
-        guard.reply = Some(reply);
+    let waiters = Waiters::Flight(fkey);
+    let routed = submit_job(state, waiters, "analysis", "serve.analyze_job", move |state| {
+        compute_analyze_reply(state, fkey, &body, &config)
     });
-    match state.queue.try_submit(job) {
-        Ok(()) => Routed::Pending,
-        Err(SubmitError::Full) => {
-            flights.remove(&fkey);
-            state.rejected.fetch_add(1, Ordering::SeqCst);
-            Reply::text(503, "Service Unavailable", "queue full, retry shortly\n".into())
-                .header("retry-after", "1".to_string())
-                .into()
-        }
-        Err(SubmitError::ShuttingDown) => {
-            flights.remove(&fkey);
-            state.rejected.fetch_add(1, Ordering::SeqCst);
-            Reply::text(503, "Service Unavailable", "daemon is draining\n".into()).into()
-        }
+    if let Routed::Ready(_) = routed {
+        flights.remove(&fkey);
     }
+    routed
 }
 
 /// The analysis job body: parse per policy, content-address, check the
@@ -1130,24 +1067,14 @@ fn compute_analyze_reply(
     fkey: FlightKey,
     body: &[u8],
     config: &AnalysisConfig,
-    queue_ns: u64,
 ) -> Reply {
     let Ok(text) = std::str::from_utf8(body) else {
         return Reply::bad_request("trace body is not UTF-8\n".to_string());
     };
     // Parse according to policy; lenient quarantines defective lines.
-    let (trace, parse_quarantined) = match config.fault_policy {
-        FaultPolicy::Strict => match prv::parse_trace(text) {
-            Ok(t) => (t, 0usize),
-            Err(e) => return Reply::text(422, "Unprocessable Entity", format!("{e}\n")),
-        },
-        FaultPolicy::Lenient => match prv::parse_trace_lenient(text) {
-            Ok((t, report)) => {
-                let n = report.faults.len();
-                (t, n)
-            }
-            Err(fault) => return Reply::text(422, "Unprocessable Entity", format!("{fault}\n")),
-        },
+    let (trace, parse_quarantined) = match prv::parse_trace_with(text, config.fault_policy) {
+        Ok((t, report)) => (t, report.len()),
+        Err(e) => return Reply::text(422, "Unprocessable Entity", format!("{e}\n")),
     };
 
     // Content address: canonical bytes + config fingerprint. The witness
@@ -1166,7 +1093,6 @@ fn compute_analyze_reply(
             .header("x-cache", "hit".to_string())
             .header("x-parse-quarantined", parse_quarantined.to_string());
         reply.meta.cache_hit = true;
-        reply.meta.queue_ns = queue_ns;
         reply.meta.faults = parse_quarantined as u64;
         return reply;
     }
@@ -1184,14 +1110,12 @@ fn compute_analyze_reply(
             let mut reply = Reply::text(200, "OK", report)
                 .header("x-cache", "miss".to_string())
                 .header("x-parse-quarantined", parse_quarantined.to_string());
-            reply.meta.queue_ns = queue_ns;
             reply.meta.analyze_ns = analyze_ns;
             reply.meta.faults = parse_quarantined as u64 + analysis_faults;
             reply
         }
         Err(fault) => {
             let mut reply = Reply::text(422, "Unprocessable Entity", format!("{fault}\n"));
-            reply.meta.queue_ns = queue_ns;
             reply.meta.analyze_ns = analyze_ns;
             reply.meta.faults = parse_quarantined as u64 + 1;
             reply
@@ -1213,26 +1137,107 @@ fn fleet_id(what: &str, id: &str) -> Result<String, Reply> {
     Ok(id.to_string())
 }
 
-/// Delivers one parked reply to exactly one connection on `Drop`, so a
-/// panicking fleet job still answers with a 500 instead of stranding
-/// the connection until the drain deadline.
+/// The connections one queued job answers.
+#[derive(Debug, Clone, Copy)]
+enum Waiters {
+    /// One parked connection (fleet endpoints).
+    One(ReplySlot),
+    /// Every connection coalesced under an in-flight `/v1/analyze` body;
+    /// index 0 of its `flights` entry is the submitter.
+    Flight(FlightKey),
+}
+
+/// Delivers a job's reply to its waiters on `Drop`, so a panicking job
+/// still answers every parked connection (with a 500) instead of
+/// stranding them until the drain deadline.
 struct DeliverGuard {
     state: Arc<State>,
-    slot: ReplySlot,
+    waiters: Waiters,
     reply: Option<Reply>,
     what: &'static str,
 }
 
 impl Drop for DeliverGuard {
     fn drop(&mut self) {
-        let reply = self.reply.take().unwrap_or_else(|| {
-            Reply::text(
-                500,
-                "Internal Server Error",
-                format!("{} job died or timed out\n", self.what),
-            )
-        });
-        self.state.deliver(self.slot, reply);
+        let slots = match self.waiters {
+            Waiters::One(slot) => vec![slot],
+            Waiters::Flight(fkey) => {
+                lock_recover(&self.state.flights).remove(&fkey).unwrap_or_default()
+            }
+        };
+        let replies = fan_out(self.reply.take(), self.what, slots.len());
+        for (slot, reply) in slots.into_iter().zip(replies) {
+            self.state.deliver(slot, reply);
+        }
+    }
+}
+
+/// The replies `waiters` connections receive from one job outcome, in
+/// waiter order. A job that produced nothing (it panicked or was dropped
+/// at the drain) answers everyone with a 500. Only the submitter (index
+/// 0) truly missed the cache; coalesced waiters got its computation,
+/// which is neither a hit nor a miss of their own — the header must say
+/// so, because clients treat an exact `hit` as proof the cache served
+/// them.
+fn fan_out(reply: Option<Reply>, what: &str, waiters: usize) -> Vec<Reply> {
+    let template = reply.unwrap_or_else(|| {
+        Reply::text(500, "Internal Server Error", format!("{what} job died or timed out\n"))
+    });
+    let mut coalesced = template.clone();
+    for (n, v) in coalesced.headers.iter_mut() {
+        if n == "x-cache" && v == "miss" {
+            *v = "coalesced".to_string();
+        }
+    }
+    let mut replies = Vec::with_capacity(waiters);
+    if waiters > 0 {
+        replies.push(template);
+    }
+    replies.resize(waiters, coalesced);
+    replies
+}
+
+/// Queues `work` on the bounded job queue to answer `waiters`: the job
+/// adopts the request's [`TraceCtx`], records `serve.queue_wait`, runs
+/// `work` under the `span` span, stamps the queue wait into the reply and
+/// delivers it through [`DeliverGuard`]. A rejected submission answers
+/// `503` now (with `Retry-After` when the queue is merely full).
+fn submit_job(
+    state: &Arc<State>,
+    waiters: Waiters,
+    what: &'static str,
+    span: &'static str,
+    work: impl FnOnce(&Arc<State>) -> Reply + Send + 'static,
+) -> Routed {
+    let trace_ctx = TraceCtx::current();
+    let submitted = Instant::now();
+    let job_state = Arc::clone(state);
+    let job = Box::new(move || {
+        let mut guard = DeliverGuard { state: job_state, waiters, reply: None, what };
+        let queue_ns = submitted.elapsed().as_nanos() as u64;
+        phasefold_obs::histogram!("serve.queue_wait", queue_ns);
+        // The span must close (and be captured) before the reply is
+        // delivered: the shard ends the capture as soon as it lands.
+        let mut reply = {
+            let _adopt = trace_ctx.map(TraceCtx::adopt);
+            let _sp = phasefold_obs::span!("{span}");
+            work(&guard.state)
+        };
+        reply.meta.queue_ns = queue_ns;
+        guard.reply = Some(reply);
+    });
+    match state.queue.try_submit(job) {
+        Ok(()) => Routed::Pending,
+        Err(SubmitError::Full) => {
+            state.rejected.fetch_add(1, Ordering::SeqCst);
+            Reply::text(503, "Service Unavailable", "queue full, retry shortly\n".into())
+                .header("retry-after", "1".to_string())
+                .into()
+        }
+        Err(SubmitError::ShuttingDown) => {
+            state.rejected.fetch_add(1, Ordering::SeqCst);
+            Reply::text(503, "Service Unavailable", "daemon is draining\n".into()).into()
+        }
     }
 }
 
@@ -1247,32 +1252,31 @@ fn fingerprint_from_prv(
     let Ok(text) = std::str::from_utf8(body) else {
         return Err(Reply::bad_request("body is neither a .pffp frame nor UTF-8 PRV\n".into()));
     };
-    let trace = match config.fault_policy {
-        FaultPolicy::Strict => match prv::parse_trace(text) {
-            Ok(t) => t,
-            Err(e) => return Err(Reply::text(422, "Unprocessable Entity", format!("{e}\n"))),
-        },
-        FaultPolicy::Lenient => match prv::parse_trace_lenient(text) {
-            Ok((t, _)) => t,
-            Err(fault) => {
-                return Err(Reply::text(422, "Unprocessable Entity", format!("{fault}\n")))
-            }
-        },
-    };
+    let (trace, _) = prv::parse_trace_with(text, config.fault_policy)
+        .map_err(|e| Reply::text(422, "Unprocessable Entity", format!("{e}\n")))?;
     match try_analyze_trace(&trace, config) {
         Ok(analysis) => Ok(Fingerprint::from_analysis(&analysis, &trace.registry, build, trace_id)),
         Err(fault) => Err(Reply::text(422, "Unprocessable Entity", format!("{fault}\n"))),
     }
 }
 
-/// Stores `fp` in the fleet store and renders the confirmation JSON.
-fn store_fingerprint(state: &State, fp: &Fingerprint, kind: &'static str) -> Reply {
-    let Some(store) = &state.fleet else {
-        return Reply::text(
+/// The fingerprint store, or the `503` every fleet endpoint answers when
+/// the daemon runs without one.
+fn fleet_store(state: &State) -> Result<&FingerprintStore, Reply> {
+    state.fleet.as_ref().ok_or_else(|| {
+        Reply::text(
             503,
             "Service Unavailable",
             "fleet store not configured (start with --fleet-dir)\n".to_string(),
-        );
+        )
+    })
+}
+
+/// Stores `fp` in the fleet store and renders the confirmation JSON.
+fn store_fingerprint(state: &State, fp: &Fingerprint, kind: &'static str) -> Reply {
+    let store = match fleet_store(state) {
+        Ok(store) => store,
+        Err(reply) => return reply,
     };
     let key = match store.put(fp) {
         Ok(key) => key,
@@ -1294,27 +1298,6 @@ fn store_fingerprint(state: &State, fp: &Fingerprint, kind: &'static str) -> Rep
     )
 }
 
-/// Submits a fleet-endpoint job, mapping queue rejection to the same
-/// `503` shapes as `/v1/analyze`, and parks the connection on success.
-fn submit_fleet_job(
-    state: &Arc<State>,
-    job: Box<dyn FnOnce() + Send + 'static>,
-) -> Routed {
-    match state.queue.try_submit(job) {
-        Ok(()) => Routed::Pending,
-        Err(SubmitError::Full) => {
-            state.rejected.fetch_add(1, Ordering::SeqCst);
-            Reply::text(503, "Service Unavailable", "queue full, retry shortly\n".into())
-                .header("retry-after", "1".to_string())
-                .into()
-        }
-        Err(SubmitError::ShuttingDown) => {
-            state.rejected.fetch_add(1, Ordering::SeqCst);
-            Reply::text(503, "Service Unavailable", "daemon is draining\n".into()).into()
-        }
-    }
-}
-
 /// `POST /v1/fingerprints?build=B[&trace=T]` — fingerprint the posted
 /// trace (or store the posted `.pffp` frame) under the build identity.
 /// A `.pffp` frame is decoded inline (identity fields rewritten to the
@@ -1322,13 +1305,8 @@ fn submit_fleet_job(
 /// and analyzed on the bounded job queue, so fleet ingestion sheds load
 /// with `503` + `Retry-After` exactly like `/v1/analyze`.
 fn fingerprints(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
-    if state.fleet.is_none() {
-        return Reply::text(
-            503,
-            "Service Unavailable",
-            "fleet store not configured (start with --fleet-dir)\n".to_string(),
-        )
-        .into();
+    if let Err(reply) = fleet_store(state) {
+        return reply.into();
     }
     let build = match req.query_param("build") {
         Some(b) => match fleet_id("build id", b) {
@@ -1359,24 +1337,12 @@ fn fingerprints(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Route
         Err(reply) => return reply.into(),
     };
     let body = std::mem::take(&mut req.body);
-    let trace_ctx = TraceCtx::current();
-    let submitted = Instant::now();
-    let job_state = Arc::clone(state);
-    let job = Box::new(move || {
-        let mut guard =
-            DeliverGuard { state: job_state, slot, reply: None, what: "fingerprint" };
-        phasefold_obs::histogram!("serve.queue_wait", submitted.elapsed().as_nanos() as u64);
-        let reply = {
-            let _adopt = trace_ctx.map(TraceCtx::adopt);
-            let _sp = phasefold_obs::span!("serve.fingerprint_job");
-            match fingerprint_from_prv(&body, &config, &build, &trace_id) {
-                Ok(fp) => store_fingerprint(&guard.state, &fp, "prv"),
-                Err(reply) => reply,
-            }
-        };
-        guard.reply = Some(reply);
-    });
-    submit_fleet_job(state, job)
+    submit_job(state, Waiters::One(slot), "fingerprint", "serve.fingerprint_job", move |state| {
+        match fingerprint_from_prv(&body, &config, &build, &trace_id) {
+            Ok(fp) => store_fingerprint(state, &fp, "prv"),
+            Err(reply) => reply,
+        }
+    })
 }
 
 /// Compares two fingerprints and renders the verdict JSON.
@@ -1396,13 +1362,9 @@ fn render_verdict(baseline: &Fingerprint, candidate: &Fingerprint, config: &Matc
 /// (answered inline: two store reads and a match, no analysis) or the
 /// posted body (PRV trace or `.pffp` frame, fingerprinted on the queue).
 fn compare_builds(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
-    let Some(store) = &state.fleet else {
-        return Reply::text(
-            503,
-            "Service Unavailable",
-            "fleet store not configured (start with --fleet-dir)\n".to_string(),
-        )
-        .into();
+    let store = match fleet_store(state) {
+        Ok(store) => store,
+        Err(reply) => return reply.into(),
     };
     let baseline_id = match req.query_param("baseline") {
         Some(b) => match fleet_id("build id", b) {
@@ -1492,32 +1454,12 @@ fn compare_builds(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Rou
                 Err(reply) => return reply.into(),
             };
             let body = std::mem::take(&mut req.body);
-            let trace_ctx = TraceCtx::current();
-            let submitted = Instant::now();
-            let job_state = Arc::clone(state);
-            let job = Box::new(move || {
-                let mut guard =
-                    DeliverGuard { state: job_state, slot, reply: None, what: "compare" };
-                phasefold_obs::histogram!(
-                    "serve.queue_wait",
-                    submitted.elapsed().as_nanos() as u64
-                );
-                let reply = {
-                    let _adopt = trace_ctx.map(TraceCtx::adopt);
-                    let _sp = phasefold_obs::span!("serve.fingerprint_job");
-                    match fingerprint_from_prv(
-                        &body,
-                        &analysis_config,
-                        "inline",
-                        &baseline.trace_id,
-                    ) {
-                        Ok(fp) => render_verdict(&baseline, &fp, &config),
-                        Err(reply) => reply,
-                    }
-                };
-                guard.reply = Some(reply);
-            });
-            submit_fleet_job(state, job)
+            submit_job(state, Waiters::One(slot), "compare", "serve.fingerprint_job", move |_| {
+                match fingerprint_from_prv(&body, &analysis_config, "inline", &baseline.trace_id) {
+                    Ok(fp) => render_verdict(&baseline, &fp, &config),
+                    Err(reply) => reply,
+                }
+            })
         }
     }
 }
@@ -1591,32 +1533,28 @@ fn session(state: &Arc<State>, req: &Request, id: &str) -> Result<Arc<StreamSess
     }
     let config = effective_config(state, req)?;
     let overridden = req.query_param("fault-policy").is_some();
-    let warmup = state.config.warmup_bursts;
-    let max_ranks = state.config.max_stream_ranks;
-    let policy_conflict = |created: FaultPolicy| {
-        let created_as = match created {
-            FaultPolicy::Strict => "strict",
-            FaultPolicy::Lenient => "lenient",
-        };
-        Reply::text(
-            409,
-            "Conflict",
-            format!(
-                "session {id:?} was created with fault-policy {created_as}; \
-                 delete it to change the policy\n"
-            ),
-        )
-    };
     let mut sessions = lock_recover(&state.sessions);
-    if let Some(entry) = sessions.get(id) {
+    if let Some(entry) = resident_or_resumed(state, &mut sessions, id) {
         if overridden && entry.policy != config.fault_policy {
-            return Err(policy_conflict(entry.policy));
+            let created_as = match entry.policy {
+                FaultPolicy::Strict => "strict",
+                FaultPolicy::Lenient => "lenient",
+            };
+            return Err(Reply::text(
+                409,
+                "Conflict",
+                format!(
+                    "session {id:?} was created with fault-policy {created_as}; \
+                     delete it to change the policy\n"
+                ),
+            ));
         }
-        return Ok(Arc::clone(entry));
+        return Ok(entry);
     }
     // Admission control before any allocation or disk work: the map is the
-    // resident-memory bound, so creation (and resumption) past the cap is
-    // shed with 429 rather than grown past it.
+    // resident-memory bound, so creation (and resumption, which
+    // `resident_or_resumed` declines at the cap) is shed with 429 rather
+    // than grown past it.
     if sessions.len() >= state.config.max_sessions {
         state.sessions_rejected.fetch_add(1, Ordering::SeqCst);
         phasefold_obs::counter!("serve.sessions_rejected", 1);
@@ -1630,22 +1568,8 @@ fn session(state: &Arc<State>, req: &Request, id: &str) -> Result<Arc<StreamSess
         )
         .header("retry-after", "1".to_string()));
     }
-    if let Some(session_store) = &state.store {
-        // An evicted (or pre-restart) session resumes from disk.
-        if let Some(rec) =
-            session_store.recover_session(id, &state.config.analysis, warmup, max_ranks)
-        {
-            if overridden && rec.policy != config.fault_policy {
-                return Err(policy_conflict(rec.policy));
-            }
-            phasefold_obs::counter!("serve.sessions_resumed", 1);
-            let entry = Arc::new(StreamSession::from_recovered(rec, state.now_ms()));
-            sessions.insert(id.to_string(), Arc::clone(&entry));
-            return Ok(entry);
-        }
-    }
-    let analyzer = OnlineAnalyzer::new(config.clone(), warmup)
-        .with_max_ranks(max_ranks)
+    let analyzer = OnlineAnalyzer::new(config.clone(), state.config.warmup_bursts)
+        .with_max_ranks(state.config.max_stream_ranks)
         .with_seed(store::session_seed(id));
     let mut inner = SessionInner {
         analyzer,
@@ -1747,12 +1671,16 @@ fn stream_records(state: &Arc<State>, req: &Request, id: &str) -> Reply {
     )
 }
 
-/// Looks `id` up in the resident map, falling back to a disk resume for a
-/// session the idle-TTL sweep spilled. Read-only endpoints use this so an
-/// evicted session stays addressable; `None` means the session genuinely
-/// does not exist (or the resident cap blocks resuming it right now).
-fn resident_or_resumed(state: &Arc<State>, id: &str) -> Option<Arc<StreamSession>> {
-    let mut sessions = lock_recover(&state.sessions);
+/// Looks `id` up in the (locked) resident map, falling back to a disk
+/// resume for a session the idle-TTL sweep spilled or a restart left
+/// behind, so an evicted session stays addressable; `None` means the
+/// session genuinely does not exist (or the resident cap blocks resuming
+/// it right now).
+fn resident_or_resumed(
+    state: &Arc<State>,
+    sessions: &mut HashMap<String, Arc<StreamSession>>,
+    id: &str,
+) -> Option<Arc<StreamSession>> {
     if let Some(s) = sessions.get(id) {
         return Some(Arc::clone(s));
     }
@@ -1775,7 +1703,7 @@ fn resident_or_resumed(state: &Arc<State>, id: &str) -> Option<Arc<StreamSession
 /// `POST /v1/streams/{id}/checkpoint`: persist the session now. `404` for
 /// an unknown session, `409` when the daemon runs without a state dir.
 fn stream_checkpoint(state: &Arc<State>, id: &str) -> Reply {
-    let Some(session) = resident_or_resumed(state, id) else {
+    let Some(session) = resident_or_resumed(state, &mut lock_recover(&state.sessions), id) else {
         return Reply::not_found();
     };
     let Some(session_store) = &state.store else {
@@ -1805,7 +1733,7 @@ fn stream_checkpoint(state: &Arc<State>, id: &str) -> Reply {
 }
 
 fn stream_phases(state: &Arc<State>, id: &str) -> Reply {
-    let Some(session) = resident_or_resumed(state, id) else {
+    let Some(session) = resident_or_resumed(state, &mut lock_recover(&state.sessions), id) else {
         return Reply::not_found();
     };
     state.touch(&session);
@@ -1842,5 +1770,48 @@ fn stream_delete(state: &Arc<State>, id: &str) -> Reply {
         Reply::json(200, "OK", format!("{{\"deleted\": \"{id}\"}}\n"))
     } else {
         Reply::not_found()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn x_cache(reply: &Reply) -> Option<&str> {
+        reply.headers.iter().find(|(n, _)| n == "x-cache").map(|(_, v)| v.as_str())
+    }
+
+    #[test]
+    fn a_job_that_died_answers_every_waiter_with_a_500() {
+        let replies = fan_out(None, "analysis", 3);
+        assert_eq!(replies.len(), 3);
+        for reply in &replies {
+            assert_eq!(reply.status, 500);
+            assert_eq!(reply.reason, "Internal Server Error");
+            assert_eq!(reply.body, b"analysis job died or timed out\n");
+        }
+        let fleet = fan_out(None, "fingerprint", 1);
+        assert_eq!(fleet[0].body, b"fingerprint job died or timed out\n");
+    }
+
+    #[test]
+    fn a_miss_is_the_submitters_alone_coalesced_waiters_say_so() {
+        let miss = Reply::text(200, "OK", "report\n".to_string())
+            .header("x-cache", "miss".to_string())
+            .header("x-parse-quarantined", "1".to_string());
+        let replies = fan_out(Some(miss), "analysis", 3);
+        let labels: Vec<_> = replies.iter().map(x_cache).collect();
+        assert_eq!(labels, [Some("miss"), Some("coalesced"), Some("coalesced")]);
+        for reply in &replies {
+            assert_eq!((reply.status, reply.body.as_slice()), (200, b"report\n".as_slice()));
+            assert!(reply.headers.contains(&("x-parse-quarantined".to_string(), "1".to_string())));
+        }
+        // A hit (or a reply without a cache header) is the same for all.
+        let hit = Reply::text(200, "OK", "report\n".to_string())
+            .header("x-cache", "hit".to_string());
+        let replies = fan_out(Some(hit), "analysis", 2);
+        let labels: Vec<_> = replies.iter().map(x_cache).collect();
+        assert_eq!(labels, [Some("hit"), Some("hit")]);
+        assert!(fan_out(Some(Reply::not_found()), "compare", 0).is_empty());
     }
 }

@@ -1,23 +1,22 @@
 //! Raw readiness syscalls for the event loop — no `libc` crate.
 //!
 //! Extends the `shutdown` module's precedent of binding C symbols
-//! directly: `epoll(7)` on Linux, `poll(2)` everywhere else on unix, and
-//! a self-pipe [`WakePipe`] so worker threads can interrupt a parked
-//! shard. Everything is wrapped behind [`Poller`], which is the only
-//! surface the event loop sees; the unsafe blocks live here and nowhere
-//! else in the crate besides `shutdown`.
+//! directly: Linux `epoll` and a self-pipe [`WakePipe`] so worker threads
+//! can interrupt a parked shard. Everything is wrapped behind [`Poller`],
+//! which is the only surface the event loop sees; the unsafe blocks live
+//! here and nowhere else in the crate besides `shutdown`.
 //!
-//! The epoll backend is O(ready) per wakeup; the poll backend rebuilds
-//! its `pollfd` array per call and is O(registered), which is fine for
-//! the portability fallback (a shard rarely owns more than a few hundred
-//! fds). Both are level-triggered, which is what the connection state
-//! machine assumes: unread bytes or unflushed buffers re-signal on the
-//! next wait.
+//! The poller is O(ready) per wakeup and level-triggered, which is what
+//! the connection state machine assumes: unread bytes or unflushed
+//! buffers re-signal on the next wait.
 
 #![allow(unsafe_code)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("phasefold-serve's event loop is built on Linux epoll and supports Linux only");
+
 use std::io;
-use std::os::raw::{c_int, c_short, c_ulong, c_void};
+use std::os::raw::{c_int, c_void};
 use std::time::Duration;
 
 /// One readiness notification.
@@ -40,29 +39,33 @@ extern "C" {
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn pipe(fds: *mut c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int)
+        -> c_int;
 }
 
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
-#[cfg(target_os = "linux")]
 const O_NONBLOCK: c_int = 0o4000;
-#[cfg(not(target_os = "linux"))]
-const O_NONBLOCK: c_int = 0x0004;
 
-const POLLIN: c_short = 0x001;
-const POLLOUT: c_short = 0x004;
-const POLLERR: c_short = 0x008;
-const POLLHUP: c_short = 0x010;
-const POLLNVAL: c_short = 0x020;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-/// `struct pollfd` from `poll(2)`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
+/// `struct epoll_event`; packed on x86-64, natural alignment on other
+/// architectures — this matches the kernel ABI exactly.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
 fn last_os_error() -> io::Error {
@@ -84,124 +87,30 @@ fn set_nonblocking_fd(fd: c_int) -> io::Result<()> {
     Ok(())
 }
 
-#[cfg(target_os = "linux")]
-mod epoll {
-    use super::{c_int, io, last_os_error};
-
-    pub(super) const EPOLLIN: u32 = 0x001;
-    pub(super) const EPOLLOUT: u32 = 0x004;
-    pub(super) const EPOLLERR: u32 = 0x008;
-    pub(super) const EPOLLHUP: u32 = 0x010;
-    pub(super) const EPOLL_CTL_ADD: c_int = 1;
-    pub(super) const EPOLL_CTL_DEL: c_int = 2;
-    pub(super) const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    /// `struct epoll_event`; packed on x86-64, natural alignment on
-    /// other architectures — this matches the kernel ABI exactly.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub(super) struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-
-    pub(super) fn create() -> io::Result<c_int> {
-        // SAFETY: epoll_create1 takes a flag word and returns an fd.
-        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if fd < 0 {
-            return Err(last_os_error());
-        }
-        Ok(fd)
-    }
-
-    pub(super) fn ctl(epfd: c_int, op: c_int, fd: c_int, events: u32, token: u64) -> io::Result<()> {
-        let mut ev = EpollEvent { events, data: token };
-        // SAFETY: epfd and fd are fds we own; `ev` outlives the call
-        // (the kernel copies it).
-        if unsafe { epoll_ctl(epfd, op, fd, &mut ev) } < 0 {
-            return Err(last_os_error());
-        }
-        Ok(())
-    }
-
-    pub(super) fn wait(epfd: c_int, buf: &mut [EpollEvent], timeout_ms: c_int) -> io::Result<usize> {
-        // SAFETY: `buf` is a valid writable slice; the kernel writes at
-        // most `buf.len()` events.
-        let n = unsafe { epoll_wait(epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) };
-        if n < 0 {
-            let e = last_os_error();
-            if e.kind() == io::ErrorKind::Interrupted {
-                return Ok(0);
-            }
-            return Err(e);
-        }
-        Ok(n as usize)
-    }
-
-    pub(super) fn close_fd(fd: c_int) {
-        // SAFETY: closing an fd we created and own.
-        unsafe {
-            super::close(fd);
-        }
-    }
-}
-
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: c_int,
-        buf: Vec<epoll::EpollEvent>,
-    },
-    // On Linux the poll backend is only constructed by unit tests (the
-    // default is epoll); elsewhere it is the only backend.
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    Poll {
-        fds: Vec<PollFd>,
-        tokens: Vec<u64>,
-    },
-}
-
 /// Readiness selector: register fds under tokens, wait for events.
 pub(crate) struct Poller {
-    backend: Backend,
+    epfd: c_int,
+    buf: Vec<EpollEvent>,
 }
 
 impl Poller {
-    /// The platform-preferred backend: epoll on Linux, poll elsewhere.
     pub(crate) fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            Ok(Poller {
-                backend: Backend::Epoll {
-                    epfd: epoll::create()?,
-                    buf: vec![epoll::EpollEvent { events: 0, data: 0 }; 256],
-                },
-            })
+        // SAFETY: epoll_create1 takes a flag word and returns an fd.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(last_os_error());
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Ok(Poller::new_poll())
-        }
+        Ok(Poller { epfd, buf: vec![EpollEvent { events: 0, data: 0 }; 256] })
     }
 
-    /// The portable `poll(2)` backend (also used by unit tests on Linux,
-    /// so both code paths stay exercised).
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    pub(crate) fn new_poll() -> Poller {
-        Poller { backend: Backend::Poll { fds: Vec::new(), tokens: Vec::new() } }
+    fn ctl(&self, op: c_int, fd: c_int, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent { events, data: token };
+        // SAFETY: epfd and fd are fds we own; `ev` outlives the call
+        // (the kernel copies it).
+        if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+            return Err(last_os_error());
+        }
+        Ok(())
     }
 
     /// Starts watching `fd` under `token` for the given interests.
@@ -212,17 +121,7 @@ impl Poller {
         read: bool,
         write: bool,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => {
-                epoll::ctl(*epfd, epoll::EPOLL_CTL_ADD, fd, interest_bits(read, write), token)
-            }
-            Backend::Poll { fds, tokens } => {
-                fds.push(PollFd { fd, events: poll_bits(read, write), revents: 0 });
-                tokens.push(token);
-                Ok(())
-            }
-        }
+        self.ctl(EPOLL_CTL_ADD, fd, interest_bits(read, write), token)
     }
 
     /// Changes the interest set of a registered fd.
@@ -233,37 +132,12 @@ impl Poller {
         read: bool,
         write: bool,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => {
-                epoll::ctl(*epfd, epoll::EPOLL_CTL_MOD, fd, interest_bits(read, write), token)
-            }
-            Backend::Poll { fds, tokens } => {
-                for (f, t) in fds.iter_mut().zip(tokens.iter()) {
-                    if f.fd == fd && *t == token {
-                        f.events = poll_bits(read, write);
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(io::ErrorKind::NotFound, "modify of unregistered fd"))
-            }
-        }
+        self.ctl(EPOLL_CTL_MOD, fd, interest_bits(read, write), token)
     }
 
     /// Stops watching `fd` (close the fd after, not before).
     pub(crate) fn deregister(&mut self, fd: c_int) {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => {
-                let _ = epoll::ctl(*epfd, epoll::EPOLL_CTL_DEL, fd, 0, 0);
-            }
-            Backend::Poll { fds, tokens } => {
-                if let Some(i) = fds.iter().position(|f| f.fd == fd) {
-                    fds.swap_remove(i);
-                    tokens.swap_remove(i);
-                }
-            }
-        }
+        let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
 
     /// Waits up to `timeout` and appends ready events to `out` (cleared
@@ -271,81 +145,47 @@ impl Poller {
     pub(crate) fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
         out.clear();
         let timeout_ms = timeout.as_millis().min(60_000) as c_int;
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, buf } => {
-                let n = epoll::wait(*epfd, buf, timeout_ms)?;
-                for ev in buf.iter().take(n) {
-                    let (events, data) = { (ev.events, ev.data) };
-                    out.push(PollEvent {
-                        token: data,
-                        readable: events & (epoll::EPOLLIN | epoll::EPOLLHUP) != 0,
-                        writable: events & epoll::EPOLLOUT != 0,
-                        error: events & epoll::EPOLLERR != 0,
-                    });
-                }
-                Ok(())
+        // SAFETY: `buf` is a valid writable slice; the kernel writes at
+        // most `buf.len()` events.
+        let n = unsafe {
+            epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as c_int, timeout_ms)
+        };
+        if n < 0 {
+            let e = last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
             }
-            Backend::Poll { fds, tokens } => {
-                if fds.is_empty() {
-                    std::thread::sleep(timeout.min(Duration::from_millis(50)));
-                    return Ok(());
-                }
-                // SAFETY: `fds` is a valid slice of pollfd; the kernel
-                // writes revents in place.
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-                if n < 0 {
-                    let e = last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                for (f, t) in fds.iter().zip(tokens.iter()) {
-                    if f.revents == 0 {
-                        continue;
-                    }
-                    out.push(PollEvent {
-                        token: *t,
-                        readable: f.revents & (POLLIN | POLLHUP) != 0,
-                        writable: f.revents & POLLOUT != 0,
-                        error: f.revents & (POLLERR | POLLNVAL) != 0,
-                    });
-                }
-                Ok(())
-            }
+            return Err(e);
         }
+        for ev in self.buf.iter().take(n as usize) {
+            let (events, data) = { (ev.events, ev.data) };
+            out.push(PollEvent {
+                token: data,
+                readable: events & (EPOLLIN | EPOLLHUP) != 0,
+                writable: events & EPOLLOUT != 0,
+                error: events & EPOLLERR != 0,
+            });
+        }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd, .. } = &self.backend {
-            epoll::close_fd(*epfd);
+        // SAFETY: closing the epoll fd we created and own.
+        unsafe {
+            close(self.epfd);
         }
     }
 }
 
-#[cfg(target_os = "linux")]
 fn interest_bits(read: bool, write: bool) -> u32 {
     let mut bits = 0;
     if read {
-        bits |= epoll::EPOLLIN;
+        bits |= EPOLLIN;
     }
     if write {
-        bits |= epoll::EPOLLOUT;
-    }
-    bits
-}
-
-fn poll_bits(read: bool, write: bool) -> c_short {
-    let mut bits = 0;
-    if read {
-        bits |= POLLIN;
-    }
-    if write {
-        bits |= POLLOUT;
+        bits |= EPOLLOUT;
     }
     bits
 }
@@ -428,7 +268,9 @@ mod tests {
         (a, b)
     }
 
-    fn exercise(mut poller: Poller) {
+    #[test]
+    fn default_backend_reports_readiness() {
+        let mut poller = Poller::new().unwrap();
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         poller.register(b.as_raw_fd(), 7, true, false).unwrap();
@@ -453,16 +295,6 @@ mod tests {
         let mut bb = &b;
         assert_eq!(bb.read(&mut one).unwrap(), 1);
         poller.deregister(b.as_raw_fd());
-    }
-
-    #[test]
-    fn default_backend_reports_readiness() {
-        exercise(Poller::new().unwrap());
-    }
-
-    #[test]
-    fn poll_fallback_backend_reports_readiness() {
-        exercise(Poller::new_poll());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 #
 # Boots `phasefold serve` on an ephemeral port (discovered via --port-file),
 # fires smoke requests at /healthz, /metrics, and /v1/analyze (cold miss
-# then byte-identical cache hit), then points a low-concurrency
+# then byte-identical cache hit), checks that the daemon and the CLI both
+# accept a trace with one malformed record line, then points a low-concurrency
 # exp_serve_load run at the live daemon. Gates:
 #
 #   - every smoke request answers with the expected status,
@@ -152,6 +153,21 @@ if ! body_of "$VERDICT" | grep -q '"regressed":false'; then
     exit 1
 fi
 echo "ok: self-compare verdict is clean"
+
+echo "== parse parity: a trace with one malformed record line =="
+# Lenient parsing (the default) quarantines the bad line; the daemon and
+# the CLI must accept the same trace.
+DIRTY="$WORK/dirty.prv"
+cp "$TRACE" "$DIRTY"
+echo "R 0 bogus line" >>"$DIRTY"
+expect_status "POST /v1/fingerprints (one malformed line)" 200 \
+    "$(request POST "/v1/fingerprints?build=dirty" "$(cat "$DIRTY")")"
+if ! "$PHASEFOLD" fingerprint "$DIRTY" --out "$WORK/dirty.pffp" \
+    --fault-policy lenient >/dev/null; then
+    echo "FAIL: phasefold fingerprint --fault-policy lenient rejected the trace"
+    exit 1
+fi
+echo "ok: phasefold fingerprint --fault-policy lenient accepts it too"
 
 echo "== low-concurrency load against the live daemon =="
 "$LOADGEN" "$LOAD_JSON" --addr "$ADDR" --requests 64 --levels 1,4
