@@ -545,6 +545,13 @@ pub fn selfcheck(argv: &[String], out: &mut String) -> Result<(), CliError> {
     );
     let _ = writeln!(out, "  cholesky: {} panel factorisations", kc("cholesky.blocks"));
     let _ = writeln!(out, "  kdtree:   {} nodes visited", kc("kdtree.nodes_visited"));
+    let _ = writeln!(
+        out,
+        "  dbscan:   {} range queries, {} neighbours scanned, {} core points",
+        kc("dbscan.range_queries"),
+        kc("dbscan.neighbors_scanned"),
+        kc("dbscan.core_points"),
+    );
 
     if analysis.models.is_empty() {
         return Err(CliError::Other(

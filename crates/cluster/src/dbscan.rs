@@ -6,7 +6,9 @@
 //! dense blobs of arbitrary shape in (duration × instructions) space, and
 //! stragglers/perturbed bursts must become *noise*, not their own clusters.
 
-use crate::kdtree::KdTree;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::kdtree::{Claims, KdTree};
 
 /// Cluster assignment of one point.
 pub type Label = Option<usize>;
@@ -57,6 +59,31 @@ impl DbscanResult {
 
 /// Runs DBSCAN over `points`.
 ///
+/// Labelling contract — a function of the points and parameters alone,
+/// independent of any visit order:
+///
+/// * a point is *core* when at least `min_pts` points (itself included)
+///   lie within `eps` of it (`dist² <= eps²`);
+/// * clusters are the ε-connected components of the core points, numbered
+///   in the order of each component's lowest-index core point;
+/// * a non-core point within `eps` of a core point is a *border* point and
+///   joins the lowest-numbered cluster with a core point within `eps`;
+/// * every other point is noise (`None`).
+///
+/// The expansion is claim-pruned over the flat kd-tree: each point's core
+/// test is a counting query that stops at `min_pts` and runs at most once,
+/// and each cluster grows from its core points by claim queries that
+/// report only still-unclaimed points and skip fully claimed subtrees. A
+/// point is claimed once, so the work queue never exceeds `n` entries and
+/// dense clusters, where one ε-ball covers most of the points, are not
+/// rescanned per member.
+///
+/// Counters: `dbscan.range_queries` counts the core tests plus the claim
+/// queries; `dbscan.neighbors_scanned` counts the points the core tests
+/// found within ε (at most `min_pts` each) plus the points claimed;
+/// `dbscan.core_points` counts the core points; `kdtree.nodes_visited`
+/// counts the tree nodes both kinds of query visit.
+///
 /// ```
 /// use phasefold_cluster::{dbscan, DbscanParams};
 ///
@@ -77,56 +104,78 @@ pub fn dbscan<const D: usize>(points: &[[f64; D]], params: &DbscanParams) -> Dbs
     assert!(params.min_pts >= 1, "min_pts must be >= 1");
     let n = points.len();
     let tree = KdTree::build(points);
+    let mut claims = Claims::new(&tree);
     let mut labels: Vec<Label> = vec![None; n];
-    let mut visited = vec![false; n];
+    // Memoised core status: `None` until the point's one counting query.
+    let mut core: Vec<Option<bool>> = vec![None; n];
     let mut num_clusters = 0usize;
-    // Neighbour and flood-fill buffers hoisted out of the loops: every
-    // range query refills `neighbours` in place (no per-query allocation).
-    let mut neighbours: Vec<usize> = Vec::new();
+    // Claimed points whose neighbourhoods are still to be claimed from.
     let mut queue: Vec<usize> = Vec::new();
+    let mut work = Work::default();
 
     for start in 0..n {
-        if visited[start] {
-            continue;
+        if labels[start].is_some() || !work.is_core(&tree, points, params, &mut core[start], start)
+        {
+            continue; // claimed already, or noise unless a cluster claims it later
         }
-        visited[start] = true;
-        tree.within_into(&points[start], params.eps, &mut neighbours);
-        phasefold_obs::counter!("dbscan.range_queries", 1);
-        phasefold_obs::counter!("dbscan.neighbors_scanned", neighbours.len() as u64);
-        if neighbours.len() < params.min_pts {
-            continue; // noise (may later be claimed as a border point)
-        }
-        phasefold_obs::counter!("dbscan.core_points", 1);
-        // New cluster: flood fill through core points.
         let cluster = num_clusters;
         num_clusters += 1;
+        claims.claim(start);
         labels[start] = Some(cluster);
-        queue.clear();
-        queue.extend_from_slice(&neighbours);
+        queue.push(start);
         while let Some(p) = queue.pop() {
-            if labels[p].is_none() {
-                labels[p] = Some(cluster); // border or core, claimed now
-            } else if labels[p] != Some(cluster) {
-                continue; // already owned by another cluster
+            if !work.is_core(&tree, points, params, &mut core[p], p) {
+                continue; // border point: claimed, never expanded
             }
-            if visited[p] {
-                continue;
+            let before = queue.len();
+            claims.claim_within(&points[p], params.eps, &mut queue, &mut work.nodes_visited);
+            for &q in &queue[before..] {
+                labels[q] = Some(cluster);
             }
-            visited[p] = true;
-            tree.within_into(&points[p], params.eps, &mut neighbours);
-            phasefold_obs::counter!("dbscan.range_queries", 1);
-            phasefold_obs::counter!("dbscan.neighbors_scanned", neighbours.len() as u64);
-            if neighbours.len() >= params.min_pts {
-                phasefold_obs::counter!("dbscan.core_points", 1);
-                for &q in &neighbours {
-                    if !visited[q] || labels[q].is_none() {
-                        queue.push(q);
-                    }
-                }
-            }
+            work.range_queries += 1;
+            work.neighbors_scanned += (queue.len() - before) as u64;
         }
     }
+    work.emit();
     DbscanResult { labels, num_clusters }
+}
+
+/// Kernel work counted locally and emitted once per run.
+#[derive(Default)]
+struct Work {
+    range_queries: u64,
+    neighbors_scanned: u64,
+    core_points: u64,
+    nodes_visited: u64,
+}
+
+impl Work {
+    /// Core status of point `p`, from `memo` or its one counting query.
+    fn is_core<const D: usize>(
+        &mut self,
+        tree: &KdTree<D>,
+        points: &[[f64; D]],
+        params: &DbscanParams,
+        memo: &mut Option<bool>,
+        p: usize,
+    ) -> bool {
+        *memo.get_or_insert_with(|| {
+            let found =
+                tree.count_within(&points[p], params.eps, params.min_pts, &mut self.nodes_visited);
+            self.range_queries += 1;
+            self.neighbors_scanned += found as u64;
+            let core = found >= params.min_pts;
+            self.core_points += u64::from(core);
+            core
+        })
+    }
+
+    fn emit(&self) {
+        phasefold_obs::counter!("dbscan.range_queries", self.range_queries);
+        phasefold_obs::counter!("dbscan.neighbors_scanned", self.neighbors_scanned);
+        phasefold_obs::counter!("dbscan.core_points", self.core_points);
+        phasefold_obs::counter!("kdtree.nodes_visited", self.nodes_visited);
+    }
 }
 
 /// Heuristic ε from the k-dist curve: the paper's tool-chain picks ε near
@@ -147,6 +196,7 @@ pub fn suggest_eps<const D: usize>(points: &[[f64; D]], min_pts: usize, quantile
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -1,6 +1,7 @@
-//! A k-d tree over fixed-dimension points, supporting the ε-range queries
-//! DBSCAN needs. Built once over all points (median split), queried many
-//! times; no external dependencies.
+//! A k-d tree over fixed-dimension points, supporting ε-range queries,
+//! DBSCAN's early-exit core counts and claim queries (`Claims`), and
+//! the k-NN distances behind the ε heuristic. Built once over all points
+//! (median split), queried many times; no external dependencies.
 //!
 //! The tree is stored as one flat, left-balanced array of nodes: the
 //! subtree over `lo..hi` has its root at `(lo + hi) / 2`, children in the
@@ -19,6 +20,16 @@
 struct KdNode<const D: usize> {
     point: [f64; D],
     original: u32,
+}
+
+/// How a range walk goes on after visiting a node.
+enum Step {
+    /// Go on into the node's children.
+    Descend,
+    /// Skip the node's whole subtree; the node does not count as visited.
+    Prune,
+    /// End the walk.
+    Stop,
 }
 
 /// Upper bound on the traversal stack. Each level of the median-balanced
@@ -67,14 +78,58 @@ impl<const D: usize> KdTree<D> {
     }
 
     /// [`KdTree::within`] writing into a caller-owned buffer (cleared
-    /// first), so repeated queries — DBSCAN's flood fill — never allocate.
+    /// first), so repeated queries never allocate.
     pub fn within_into(&self, query: &[f64; D], eps: f64, out: &mut Vec<usize>) {
         out.clear();
+        let visited = self.walk(query, eps, |mid, within| {
+            if within {
+                out.push(self.nodes[mid].original as usize);
+            }
+            Step::Descend
+        });
+        phasefold_obs::counter!("kdtree.nodes_visited", visited);
+    }
+
+    /// Number of points within `eps` of `query`, counting only up to
+    /// `limit`: the walk stops at the `limit`-th hit. Same inclusive
+    /// `dist2 <= eps²` predicate and near-side-first traversal as
+    /// [`KdTree::within_into`], so `count_within(q, eps, m) >= m` exactly
+    /// when `within(q, eps).len() >= m` — DBSCAN's core test without the
+    /// full neighbourhood. Adds the nodes it visits to `visited`.
+    pub(crate) fn count_within(
+        &self,
+        query: &[f64; D],
+        eps: f64,
+        limit: usize,
+        visited: &mut u64,
+    ) -> usize {
+        let mut found = 0usize;
+        if limit == 0 {
+            return found;
+        }
+        *visited += self.walk(query, eps, |_, within| {
+            found += usize::from(within);
+            if found == limit {
+                Step::Stop
+            } else {
+                Step::Descend
+            }
+        });
+        found
+    }
+
+    /// The ε-range walk behind every range query: depth first, near half
+    /// before far half, and the far half only when its splitting plane is
+    /// within `eps` (squared compare — no sqrt). `visit` sees each node
+    /// reached, with whether its point lies within `eps` (inclusive), and
+    /// steers the walk. Returns the number of nodes visited, not counting
+    /// those answered with [`Step::Prune`].
+    fn walk(&self, query: &[f64; D], eps: f64, mut visit: impl FnMut(usize, bool) -> Step) -> u64 {
+        let mut visited = 0u64;
         if self.nodes.is_empty() {
-            return;
+            return visited;
         }
         let eps2 = eps * eps;
-        let mut visited = 0u64;
         let mut stack = [(0usize, 0usize, 0usize); MAX_STACK];
         stack[0] = (0, self.nodes.len(), 0);
         let mut top = 1;
@@ -83,19 +138,13 @@ impl<const D: usize> KdTree<D> {
             let (lo, hi, axis) = stack[top];
             let mid = lo + (hi - lo) / 2;
             let node = &self.nodes[mid];
-            visited += 1;
-            if dist2(&node.point, query) <= eps2 {
-                out.push(node.original as usize);
+            match visit(mid, dist2(&node.point, query) <= eps2) {
+                Step::Prune => continue,
+                Step::Stop => return visited + 1,
+                Step::Descend => visited += 1,
             }
             let next_axis = (axis + 1) % D;
-            let delta = query[axis] - node.point[axis];
-            // Visit the near half always; the far half only when the
-            // splitting plane is within eps (squared compare — no sqrt).
-            let (near, far) = if delta <= 0.0 {
-                ((lo, mid), (mid + 1, hi))
-            } else {
-                ((mid + 1, hi), (lo, mid))
-            };
+            let (near, far, delta) = halves(query, &node.point, axis, lo, mid, hi);
             debug_assert!(top + 2 <= MAX_STACK);
             if far.0 < far.1 && delta * delta <= eps2 {
                 stack[top] = (far.0, far.1, next_axis);
@@ -108,7 +157,7 @@ impl<const D: usize> KdTree<D> {
                 top += 1;
             }
         }
-        phasefold_obs::counter!("kdtree.nodes_visited", visited);
+        visited
     }
 
     /// Distance to the k-th nearest *other* point for every point (the
@@ -160,16 +209,15 @@ impl<const D: usize> KdTree<D> {
                 }
             }
             let next_axis = (axis + 1) % D;
-            let delta = query[axis] - node.point[axis];
-            let (near, far) = if delta <= 0.0 {
-                ((lo, mid), (mid + 1, hi))
-            } else {
-                ((mid + 1, hi), (lo, mid))
-            };
+            let (near, far, delta) = halves(query, &node.point, axis, lo, mid, hi);
             // The far half can only matter while the neighbour set is not
-            // full, or when the splitting plane is at most the current k-th
-            // distance away (`<=` keeps boundary ties exact).
-            let explore_far = best.len() < k || delta * delta <= best[k - 1];
+            // full, or when the splitting plane is strictly nearer than the
+            // current k-th distance. Every far point is at least `delta²`
+            // away and replacing the k-th needs `d2 < best[k - 1]`, so a
+            // plane at exactly that distance holds nothing that could win:
+            // skipping it stays exact and spares the visits that ties on
+            // the plane (exact duplicate points) used to force.
+            let explore_far = best.len() < k || delta * delta < best[k - 1];
             debug_assert!(top + 2 <= MAX_STACK);
             if far.0 < far.1 && explore_far {
                 stack[top] = (far.0, far.1, next_axis);
@@ -181,6 +229,119 @@ impl<const D: usize> KdTree<D> {
             }
         }
         phasefold_obs::counter!("kdtree.nodes_visited", visited);
+    }
+}
+
+/// Claim state over a [`KdTree`] for DBSCAN's expansion. Every point
+/// starts unclaimed and is claimed at most once. `live` counts the
+/// unclaimed points of each subtree, indexed like the nodes (the subtree
+/// over `lo..hi` by its root `(lo + hi) / 2`), so a claim query skips any
+/// subtree with nothing left to claim instead of rescanning it.
+pub(crate) struct Claims<'t, const D: usize> {
+    tree: &'t KdTree<D>,
+    /// Unclaimed points in the subtree rooted at each node.
+    live: Vec<u32>,
+    /// Is the node's own point still unclaimed?
+    free: Vec<bool>,
+    /// Node index of each original point index.
+    position: Vec<u32>,
+}
+
+impl<'t, const D: usize> Claims<'t, D> {
+    /// All points of `tree` unclaimed.
+    pub(crate) fn new(tree: &'t KdTree<D>) -> Claims<'t, D> {
+        let n = tree.nodes.len();
+        let mut live = vec![0u32; n];
+        fill_live(&mut live, 0, n);
+        let mut position = vec![0u32; n];
+        for (pos, node) in tree.nodes.iter().enumerate() {
+            position[node.original as usize] = pos as u32;
+        }
+        Claims { tree, live, free: vec![true; n], position }
+    }
+
+    /// Claims the point with original index `original`; false if it was
+    /// already claimed.
+    pub(crate) fn claim(&mut self, original: usize) -> bool {
+        let pos = self.position[original] as usize;
+        if !self.free[pos] {
+            return false;
+        }
+        self.take(pos);
+        true
+    }
+
+    /// Claims every unclaimed point within `eps` of `query`, appending
+    /// their original indices to `out`. Same `dist2 <= eps²` predicate and
+    /// pruning as [`KdTree::within_into`], plus a skip of every subtree
+    /// whose live count is 0: the result is exactly `within(query, eps)`
+    /// minus the points already claimed. Adds the nodes it visits to
+    /// `visited`.
+    pub(crate) fn claim_within(
+        &mut self,
+        query: &[f64; D],
+        eps: f64,
+        out: &mut Vec<usize>,
+        visited: &mut u64,
+    ) {
+        let tree = self.tree;
+        *visited += tree.walk(query, eps, |mid, within| {
+            if self.live[mid] == 0 {
+                return Step::Prune;
+            }
+            if within && self.free[mid] {
+                self.take(mid);
+                out.push(tree.nodes[mid].original as usize);
+            }
+            Step::Descend
+        });
+    }
+
+    /// Marks node `pos` claimed and decrements the live count of every
+    /// subtree on the root → `pos` index path.
+    fn take(&mut self, pos: usize) {
+        self.free[pos] = false;
+        let (mut lo, mut hi) = (0, self.live.len());
+        loop {
+            let mid = lo + (hi - lo) / 2;
+            self.live[mid] -= 1;
+            match pos.cmp(&mid) {
+                std::cmp::Ordering::Equal => break,
+                std::cmp::Ordering::Less => hi = mid,
+                std::cmp::Ordering::Greater => lo = mid + 1,
+            }
+        }
+    }
+}
+
+/// Initial live counts: every subtree over `lo..hi` holds `hi - lo`
+/// unclaimed points.
+fn fill_live(live: &mut [u32], lo: usize, hi: usize) {
+    if lo >= hi {
+        return;
+    }
+    let mid = lo + (hi - lo) / 2;
+    live[mid] = (hi - lo) as u32;
+    fill_live(live, lo, mid);
+    fill_live(live, mid + 1, hi);
+}
+
+/// The near and far halves of node `mid`'s range `lo..hi` as seen from
+/// `query`, and `query`'s signed offset from the splitting plane along
+/// `axis`. A query on the plane takes the left half as near.
+fn halves<const D: usize>(
+    query: &[f64; D],
+    point: &[f64; D],
+    axis: usize,
+    lo: usize,
+    mid: usize,
+    hi: usize,
+) -> ((usize, usize), (usize, usize), f64) {
+    let delta = query[axis] - point[axis];
+    if delta <= 0.0 {
+        ((lo, mid), (mid + 1, hi), delta)
+    } else {
+        ((mid + 1, hi), (lo, mid), delta)
     }
 }
 
@@ -347,6 +508,76 @@ mod tests {
                 assert_eq!(f.to_bits(), s.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn k_dist_with_ties_on_one_coordinate() {
+        // More than k points share x = 0.5 (so every split on x ties), and
+        // several of them are exact duplicates: the strict far-half prune
+        // must still give brute-force k-dists bit for bit.
+        let mut pts: Vec<[f64; 2]> = (0..12).map(|i| [0.5, f64::from(i % 5) * 0.01]).collect();
+        pts.extend(vec![[0.5, 0.02]; 6]);
+        pts.extend(pseudo_points(30));
+        for k in [1, 2, 3, 7, 11] {
+            let fast = KdTree::k_dist(&pts, k);
+            let slow = brute_k_dist(&pts, k);
+            for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(f.to_bits(), s.to_bits(), "k = {k} point {i}: tree {f} vs brute {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_within_stops_at_limit_and_agrees_with_within() {
+        let mut pts = pseudo_points(200);
+        pts.extend(vec![[0.3, 0.3]; 9]);
+        let tree = KdTree::build(&pts);
+        for q in pts.iter().step_by(11) {
+            for eps in [0.01, 0.05, 0.2] {
+                let all = tree.within(q, eps).len();
+                for limit in [1, 3, 8, 1000] {
+                    let mut visited = 0;
+                    let got = tree.count_within(q, eps, limit, &mut visited);
+                    assert_eq!(got, all.min(limit), "eps {eps} limit {limit}");
+                    assert!(visited > 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn claim_within_reports_each_point_once() {
+        let mut pts = pseudo_points(300);
+        pts.extend(vec![[0.7, 0.2]; 7]);
+        let tree = KdTree::build(&pts);
+        let mut claims = Claims::new(&tree);
+        let mut claimed = vec![false; pts.len()];
+        assert!(claims.claim(5));
+        assert!(!claims.claim(5), "a point is claimed once");
+        claimed[5] = true;
+        let mut visited = 0;
+        for (qi, q) in pts.iter().enumerate().step_by(3) {
+            let mut want: Vec<usize> =
+                brute_within(&pts, q, 0.08).into_iter().filter(|&i| !claimed[i]).collect();
+            let mut got = Vec::new();
+            claims.claim_within(q, 0.08, &mut got, &mut visited);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "query {qi}");
+            for i in got {
+                claimed[i] = true;
+            }
+        }
+        // Once everything is claimed, the root's live count is 0 and a
+        // claim query visits nothing.
+        for i in 0..pts.len() {
+            claims.claim(i);
+        }
+        let before = visited;
+        let mut got = Vec::new();
+        claims.claim_within(&pts[0], 10.0, &mut got, &mut visited);
+        assert!(got.is_empty());
+        assert_eq!(visited, before);
     }
 
     #[test]

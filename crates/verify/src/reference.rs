@@ -95,23 +95,24 @@ pub fn exhaustive_segmentations(
 // Brute-force DBSCAN
 // ---------------------------------------------------------------------------
 
-/// Order-free DBSCAN ground truth. Core points and the partition of core
-/// points into density-connected components are canonical; *border* points
-/// (non-core within ε of a core) may be claimed by any adjacent component
-/// depending on visit order, so the reference records only their
-/// adjacency, not an owner — exactly the freedom Ester et al. leave open.
+/// Order-free DBSCAN ground truth under the production labelling
+/// contract. Core points and the partition of core points into
+/// density-connected components are canonical; components are numbered by
+/// their lowest-index core point, and each *border* point (non-core within
+/// ε of a core) is owned by the lowest-numbered adjacent component. Ester
+/// et al. leave the border owner to visit order; `phasefold_cluster::dbscan`
+/// pins it, so the oracle pins it too and the labels must match exactly.
 #[derive(Debug, Clone)]
 pub struct BruteDbscan {
     /// Is point `i` a core point (≥ `min_pts` neighbours within ε,
     /// self included)?
     pub core: Vec<bool>,
-    /// Component id of each *core* point (`None` for non-core).
-    pub component: Vec<Option<usize>>,
     /// Number of density-connected core components (= clusters).
     pub num_components: usize,
-    /// Component ids adjacent to each point (within ε of a core member);
-    /// empty = the point must be noise.
-    pub adjacent: Vec<Vec<usize>>,
+    /// Owning component of each point: its own component for a core point,
+    /// the lowest-numbered adjacent component for a border point, `None`
+    /// for noise.
+    pub owner: Vec<Option<usize>>,
 }
 
 /// All-pairs O(n²) DBSCAN on 2-D points, matching the kd-tree path's
@@ -128,7 +129,9 @@ pub fn brute_dbscan(points: &[[f64; 2]], eps: f64, min_pts: usize) -> BruteDbsca
         .map(|i| (0..n).filter(|&j| close(i, j)).count() >= min_pts)
         .collect();
 
-    // Connected components of the core-core ε-graph, by flood fill.
+    // Connected components of the core-core ε-graph, by flood fill. Seeds
+    // are taken in index order, so each component's id is the rank of its
+    // lowest-index core point.
     let mut component: Vec<Option<usize>> = vec![None; n];
     let mut num_components = 0usize;
     for i in 0..n {
@@ -149,19 +152,16 @@ pub fn brute_dbscan(points: &[[f64; 2]], eps: f64, min_pts: usize) -> BruteDbsca
         }
     }
 
-    let adjacent: Vec<Vec<usize>> = (0..n)
+    let owner: Vec<Option<usize>> = (0..n)
         .map(|i| {
-            let mut ids: Vec<usize> = (0..n)
-                .filter(|&j| core[j] && close(i, j))
-                .filter_map(|j| component[j])
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
+            if core[i] {
+                return component[i];
+            }
+            (0..n).filter(|&j| core[j] && close(i, j)).filter_map(|j| component[j]).min()
         })
         .collect();
 
-    BruteDbscan { core, component, num_components, adjacent }
+    BruteDbscan { core, num_components, owner }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,6 +325,10 @@ mod tests {
         let brute = brute_dbscan(&points, 0.05, 3);
         assert_eq!(brute.num_components, 2);
         assert!(!brute.core[20]);
-        assert!(brute.adjacent[20].is_empty(), "outlier has no core neighbour");
+        assert!(brute.owner[20].is_none(), "outlier has no core neighbour");
+        // Components are numbered by lowest-index core point: point 0
+        // seeds component 0, point 1 component 1.
+        assert_eq!(brute.owner[0], Some(0));
+        assert_eq!(brute.owner[1], Some(1));
     }
 }

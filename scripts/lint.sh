@@ -15,7 +15,7 @@
 # phasefold-verify denies them crate-wide too: an oracle that panics
 # mid-fuzz hides every divergence the remaining seeds would have found.
 # The hot kernels — crates/regress/src/{segdp,linalg}.rs and
-# crates/cluster/src/kdtree.rs — carry the same file-scoped deny: a panic
+# crates/cluster/src/{kdtree,dbscan}.rs — carry the same file-scoped deny: a panic
 # there aborts every fit/clustering in flight, and the kernel rewrites
 # must stay total functions (bound checks, not unwraps).
 # phasefold-obs denies them crate-wide as well: the telemetry layer runs
