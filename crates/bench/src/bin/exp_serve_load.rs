@@ -5,7 +5,7 @@
 //! every client
 //! runs a closed loop of `POST /v1/analyze` requests over a keep-alive
 //! connection, cycling through a small set of distinct synthetic traces so
-//! the first pass misses the content-addressed cache and later passes hit
+//! the first pass misses the daemon's result cache and later passes hit
 //! it. `503` answers are backpressure, not failures: the client honours
 //! `Retry-After` and retries, and the run *asserts* that every well-formed
 //! request eventually lands — the "zero dropped requests" acceptance

@@ -684,7 +684,6 @@ pub fn serve(argv: &[String], out: &mut String) -> Result<(), CliError> {
             "workers",
             "queue-depth",
             "cache-entries",
-            "cache-dir",
             "fault-policy",
             "max-connections",
             "max-stream-ranks",
@@ -701,7 +700,6 @@ pub fn serve(argv: &[String], out: &mut String) -> Result<(), CliError> {
             "fleet-max-fingerprints",
             "regress-threshold",
             "event-shards",
-            "cache-shards",
         ],
         &[],
     )?;
@@ -741,7 +739,6 @@ pub fn serve(argv: &[String], out: &mut String) -> Result<(), CliError> {
         workers: p.get_parsed("workers", 2usize)?.max(1),
         queue_depth: p.get_parsed("queue-depth", 32usize)?.max(1),
         cache_entries: p.get_parsed("cache-entries", 64usize)?.max(1),
-        cache_dir: p.get("cache-dir").map(std::path::PathBuf::from),
         analysis,
         max_connections: p.get_parsed("max-connections", 256usize)?.max(1),
         max_stream_ranks: p.get_parsed("max-stream-ranks", 1usize << 16)?.max(1),
@@ -757,7 +754,6 @@ pub fn serve(argv: &[String], out: &mut String) -> Result<(), CliError> {
         regress_threshold,
         // 0 = auto-size from available cores (see ServeConfig docs).
         event_shards: p.get_parsed("event-shards", 0usize)?,
-        cache_shards: p.get_parsed("cache-shards", 0usize)?,
         ..phasefold_serve::ServeConfig::default()
     };
     let max_seconds: u64 = p.get_parsed("max-seconds", 0)?; // 0 = run forever

@@ -13,7 +13,7 @@
 //! phasefold regress-check <base> <cand> [--threshold R] [--json]
 //! phasefold period <trace.prv> [--rank R] [--bins B]
 //! phasefold reconstruct <trace.prv> [--rank R] [--points N]
-//! phasefold serve [--addr H:P] [--workers N] [--queue-depth N] [--cache-dir D]
+//! phasefold serve [--addr H:P] [--workers N] [--queue-depth N] [--cache-entries N]
 //! ```
 //!
 //! All output goes to the supplied writer (`String` in tests, stdout in the
@@ -146,7 +146,7 @@ commands:
   serve                             analysis daemon (HTTP/1.1 on std::net)
       [--addr H:P (default 127.0.0.1:8191, port 0 = ephemeral)]
       [--threads N (0 = auto)] [--workers N] [--queue-depth N]
-      [--cache-entries N] [--cache-dir DIR]
+      [--cache-entries N (in-memory analyze reports, 64)]
       [--fault-policy lenient|strict]
       [--port-file F (bound address is written here)]
       [--max-seconds S (0 = until SIGTERM/SIGINT or POST /admin/shutdown)]
@@ -162,7 +162,6 @@ commands:
       [--fleet-max-fingerprints N (store eviction bound, 256)]
       [--regress-threshold R (default verdict threshold, 0.08)]
       [--event-shards N (event-loop shards, 0 = auto from cores)]
-      [--cache-shards N (result-cache shards, 0 = auto from cores)]
   verify                            differential + metamorphic correctness
       gate: fuzz seeded random traces against slow reference kernels and
       paper-derived invariants; replay the minimized regression corpus

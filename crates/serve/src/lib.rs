@@ -2,9 +2,9 @@
 //!
 //! A dependency-free analysis daemon over the phasefold pipeline:
 //! `std::net` HTTP/1.1, a bounded job queue with backpressure, streaming
-//! PRV ingestion into [`phasefold::OnlineAnalyzer`] sessions, and a
-//! content-addressed result cache (FNV-1a of canonicalized trace bytes +
-//! config fingerprint → rendered report, LRU with optional disk spill).
+//! PRV ingestion into [`phasefold::OnlineAnalyzer`] sessions, and an
+//! in-memory LRU of rendered reports keyed by the request body (two
+//! independent hashes + length + fault policy).
 //!
 //! ```no_run
 //! use phasefold_serve::{serve, ServeConfig};
@@ -38,7 +38,7 @@ pub mod store;
 mod sys;
 pub mod wal;
 
-pub use cache::{CacheKey, CacheStats, ResultCache};
+pub use cache::{BodyKey, CacheStats, Cached, ResultCache};
 pub use client::{one_shot, Client, Response};
 pub use queue::{JobQueue, SubmitError};
 pub use recorder::{FlightRecorder, RequestSummary, SlowRequest};

@@ -176,7 +176,6 @@ fn worker_loop(
         };
         if catch_unwind(AssertUnwindSafe(job)).is_err() {
             panicked.fetch_add(1, Ordering::SeqCst);
-            phasefold_obs::counter!("serve.jobs_panicked", 1);
         } else {
             completed.fetch_add(1, Ordering::SeqCst);
         }

@@ -5,10 +5,10 @@
 //! `max_connections`, and hands sockets to shards. Routing runs on the
 //! shard; analysis endpoints park the connection and compute on the
 //! bounded [`JobQueue`], so neither a slow client nor a heavy analysis
-//! can stall unrelated connections. Identical in-flight `/v1/analyze`
-//! bodies are coalesced into one job (single-flight), and a raw-body
-//! memo index answers byte-identical warm hits straight from the
-//! sharded result cache without re-parsing the trace.
+//! can stall unrelated connections. `/v1/analyze` reports are cached in
+//! one in-memory LRU keyed by the body bytes (see [`crate::cache`]): the
+//! shard answers a hit itself without parsing or queueing, and identical
+//! in-flight bodies that miss are coalesced into one job (single-flight).
 //!
 //! ## Endpoints
 //!
@@ -45,7 +45,7 @@
 //! always-on lock-free latency histograms (`serve.latency.*`,
 //! `serve.queue_wait`, `serve.analyze_time`, `serve.cache_lookup`).
 
-use crate::cache::{fnv1a64_alt, CacheKey, ShardedCache, TraceWitness};
+use crate::cache::{BodyKey, Cached, ResultCache};
 use crate::event::{EventCore, ReplySlot};
 use crate::http::{self, Request};
 use crate::queue::{lock_recover, JobQueue, SubmitError};
@@ -56,7 +56,6 @@ use crate::wal::Wal;
 use phasefold::report::render_report;
 use phasefold::{try_analyze_trace, AnalysisConfig, FaultPolicy, OnlineAnalyzer};
 use phasefold_fleet::{compare_fingerprints, verdict_json, Fingerprint, FingerprintStore, MatchConfig};
-use phasefold_model::codec::fnv1a64;
 use phasefold_model::prv;
 use phasefold_model::{Fault, FaultKind, Severity};
 use phasefold_obs::export::json_escape;
@@ -80,10 +79,8 @@ pub struct ServeConfig {
     /// Jobs the queue holds beyond the ones executing; the backpressure
     /// bound.
     pub queue_depth: usize,
-    /// Reports kept in the in-memory cache.
+    /// Reports kept in the in-memory `/v1/analyze` cache.
     pub cache_entries: usize,
-    /// Directory for cache spill files (`None` = memory only).
-    pub cache_dir: Option<PathBuf>,
     /// Analysis settings applied to submitted traces (per-request
     /// `?fault-policy=` overrides just the policy).
     pub analysis: AnalysisConfig,
@@ -94,7 +91,8 @@ pub struct ServeConfig {
     /// Largest accepted request body.
     pub max_body: usize,
     /// Simultaneously open connections; the accept loop answers `503` past
-    /// this, bounding both connection threads and per-connection buffers.
+    /// this, bounding the event-loop shards' connection tables and
+    /// per-connection buffers.
     pub max_connections: usize,
     /// Largest rank id (+1) a streaming session accepts. Sessions allocate
     /// per-rank buffers up to the highest rank seen, so this bounds what a
@@ -144,10 +142,6 @@ pub struct ServeConfig {
     /// at 8). Each shard is one thread owning a poller and the
     /// connections hashed to it.
     pub event_shards: usize,
-    /// Result-cache shards (`0` = auto). More shards mean less lock
-    /// contention between event-loop shards and queue workers; capacity
-    /// is split evenly across them.
-    pub cache_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -157,7 +151,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 32,
             cache_entries: 64,
-            cache_dir: None,
             analysis: AnalysisConfig::default(),
             warmup_bursts: 64,
             read_timeout: Duration::from_secs(5),
@@ -178,7 +171,6 @@ impl Default for ServeConfig {
             fleet_max_fingerprints: 256,
             regress_threshold: MatchConfig::default().regression_threshold,
             event_shards: 0,
-            cache_shards: 0,
         }
     }
 }
@@ -242,45 +234,9 @@ impl StreamSession {
     }
 }
 
-/// Identity of an in-flight (or memoized) `/v1/analyze` body: two
-/// independent 64-bit hashes of the raw bytes, the length, and the
-/// effective fault policy. Collisions require both hashes *and* the
-/// length to agree, and even then the memo path re-verifies against the
-/// cache's [`TraceWitness`] before serving anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FlightKey {
-    raw: u64,
-    alt: u64,
-    len: usize,
-    policy: u8,
-}
-
-impl FlightKey {
-    fn derive(body: &[u8], policy: FaultPolicy) -> FlightKey {
-        FlightKey {
-            raw: fnv1a64(body),
-            alt: fnv1a64_alt(body),
-            len: body.len(),
-            policy: match policy {
-                FaultPolicy::Strict => 0,
-                FaultPolicy::Lenient => 1,
-            },
-        }
-    }
-}
-
-/// What the raw-body memo remembers about an analyzed body: enough to
-/// answer a byte-identical repeat from the result cache without parsing.
-#[derive(Debug, Clone, Copy)]
-struct RawEntry {
-    key: CacheKey,
-    witness: TraceWitness,
-    parse_quarantined: usize,
-}
-
 pub(crate) struct State {
     config: ServeConfig,
-    cache: ShardedCache,
+    cache: ResultCache,
     queue: JobQueue,
     sessions: Mutex<HashMap<String, Arc<StreamSession>>>,
     store: Option<SessionStore>,
@@ -300,10 +256,7 @@ pub(crate) struct State {
     drain_deadline: Mutex<Option<Instant>>,
     /// In-flight `/v1/analyze` bodies → parked connections waiting on
     /// them (single-flight coalescing; index 0 is the job's submitter).
-    flights: Mutex<HashMap<FlightKey, Vec<ReplySlot>>>,
-    /// Raw-body memo: bodies analyzed before, answerable from the result
-    /// cache without re-parsing.
-    raw_index: Mutex<HashMap<FlightKey, RawEntry>>,
+    flights: Mutex<HashMap<BodyKey, Vec<ReplySlot>>>,
 }
 
 impl State {
@@ -445,12 +398,8 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         0 => cores.min(8),
         n => n,
     };
-    let cache_shards = match config.cache_shards {
-        0 => (cores * 2).clamp(4, 64),
-        n => n,
-    };
     let state = Arc::new(State {
-        cache: ShardedCache::new(config.cache_entries, cache_shards, config.cache_dir.clone())?,
+        cache: ResultCache::new(config.cache_entries),
         queue: JobQueue::new(config.workers, config.queue_depth),
         sessions: Mutex::new(initial_sessions),
         store: session_store,
@@ -468,7 +417,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         core: OnceLock::new(),
         drain_deadline: Mutex::new(None),
         flights: Mutex::new(HashMap::new()),
-        raw_index: Mutex::new(HashMap::new()),
     });
     let core = EventCore::start(&state, event_shards)?;
     let _ = state.core.set(core);
@@ -656,7 +604,6 @@ impl From<Reply> for Routed {
 /// capture when sampled. The back half is [`finalize_reply`].
 pub(crate) fn handle_parsed(state: &Arc<State>, mut req: Request, slot: ReplySlot) -> Dispatch {
     state.requests.fetch_add(1, Ordering::SeqCst);
-    phasefold_obs::counter!("serve.requests", 1);
     // Decided before routing: a request that arrives mid-drain is the
     // connection's last even if the flag flips back (it cannot).
     let keep_alive = req.keep_alive() && !state.shutting_down();
@@ -874,7 +821,7 @@ fn metrics_json(state: &Arc<State>) -> Reply {
     // then the obs export (spans drain per scrape, by design; counters and
     // histograms are cumulative).
     let mut body = format!(
-        "{{\n\"schema\": \"phasefold-serve-metrics/1\",\n\"uptime_ms\": {},\n\"requests\": {},\n\"rejected\": {},\n\"sessions\": {},\n\"sessions_evicted\": {},\n\"sessions_rejected\": {},\n\"jobs_in_flight\": {},\n\"jobs_completed\": {},\n\"jobs_panicked\": {},\n\"cache_hits\": {},\n\"cache_misses\": {},\n\"cache_evictions\": {},\n\"cache_verify_failures\": {},\n\"cache_entries\": {}\n}}\n",
+        "{{\n\"schema\": \"phasefold-serve-metrics/1\",\n\"uptime_ms\": {},\n\"requests\": {},\n\"rejected\": {},\n\"sessions\": {},\n\"sessions_evicted\": {},\n\"sessions_rejected\": {},\n\"jobs_in_flight\": {},\n\"jobs_completed\": {},\n\"jobs_panicked\": {},\n\"cache_hits\": {},\n\"cache_misses\": {},\n\"cache_evictions\": {},\n\"cache_entries\": {}\n}}\n",
         state.started.elapsed().as_millis(),
         state.requests.load(Ordering::SeqCst),
         state.rejected.load(Ordering::SeqCst),
@@ -887,7 +834,6 @@ fn metrics_json(state: &Arc<State>) -> Reply {
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.evictions,
-        cache_stats.verify_failures,
         cache_len,
     );
     body.push_str(&phasefold_obs::export::metrics_json(&phasefold_obs::snapshot()));
@@ -994,19 +940,14 @@ fn effective_config(state: &Arc<State>, req: &Request) -> Result<AnalysisConfig,
     Ok(config)
 }
 
-/// Bound on the raw-body memo relative to the cache capacity; past it
-/// the memo is cleared (it is a rebuild-on-demand accelerator, not a
-/// second cache).
-const RAW_INDEX_FACTOR: usize = 4;
-
-/// Remembers that `body` (keyed by `fkey`) maps to this cache entry, so
-/// the next byte-identical submission skips the parse entirely.
-fn remember_raw(state: &State, fkey: FlightKey, entry: RawEntry) {
-    let mut index = lock_recover(&state.raw_index);
-    if index.len() >= state.config.cache_entries.saturating_mul(RAW_INDEX_FACTOR).max(16) {
-        index.clear();
-    }
-    index.insert(fkey, entry);
+/// The reply a cache hit answers with.
+fn hit_reply(cached: Cached) -> Reply {
+    let mut reply = Reply::text(200, "OK", cached.report.to_string())
+        .header("x-cache", "hit".to_string())
+        .header("x-parse-quarantined", cached.parse_quarantined.to_string());
+    reply.meta.cache_hit = true;
+    reply.meta.faults = cached.parse_quarantined as u64;
+    reply
 }
 
 fn analyze(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
@@ -1014,26 +955,12 @@ fn analyze(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
         Ok(c) => c,
         Err(reply) => return reply.into(),
     };
-    let fkey = FlightKey::derive(&req.body, config.fault_policy);
-
-    // Raw fast path: a byte-identical body analyzed before resolves to a
-    // known cache entry — answer from the sharded cache without parsing.
-    // The witness check inside `get` keeps a (vanishingly unlikely)
-    // raw-hash collision from serving another trace's report.
-    let memoized = lock_recover(&state.raw_index).get(&fkey).copied();
-    if let Some(entry) = memoized {
-        let lookup_t0 = Instant::now();
-        let cached = state.cache.get(&entry.key, &entry.witness);
-        phasefold_obs::histogram!("serve.cache_lookup", lookup_t0.elapsed().as_nanos() as u64);
-        if let Some(report) = cached {
-            let mut reply = Reply::text(200, "OK", report)
-                .header("x-cache", "hit".to_string())
-                .header("x-parse-quarantined", entry.parse_quarantined.to_string());
-            reply.meta.cache_hit = true;
-            reply.meta.faults = entry.parse_quarantined as u64;
-            return reply.into();
-        }
-        // Evicted since: fall through and recompute on the queue.
+    let key = BodyKey::derive(&req.body, config.fault_policy);
+    let lookup_t0 = Instant::now();
+    let cached = state.cache.get(&key);
+    phasefold_obs::histogram!("serve.cache_lookup", lookup_t0.elapsed().as_nanos() as u64);
+    if let Some(cached) = cached {
+        return hit_reply(cached).into();
     }
 
     // Single-flight: identical bodies already being analyzed get their
@@ -1043,31 +970,35 @@ fn analyze(state: &Arc<State>, req: &mut Request, slot: ReplySlot) -> Routed {
     // between registration and submission.
     let body = std::mem::take(&mut req.body);
     let mut flights = lock_recover(&state.flights);
-    if let Some(waiters) = flights.get_mut(&fkey) {
+    if let Some(waiters) = flights.get_mut(&key) {
         waiters.push(slot);
         phasefold_obs::counter!("serve.analyze_coalesced", 1);
         return Routed::Pending;
     }
-    flights.insert(fkey, vec![slot]);
-    let waiters = Waiters::Flight(fkey);
+    flights.insert(key, vec![slot]);
+    let waiters = Waiters::Flight(key);
     let routed = submit_job(state, waiters, "analysis", "serve.analyze_job", move |state| {
-        compute_analyze_reply(state, fkey, &body, &config)
+        compute_analyze_reply(state, key, &body, &config)
     });
     if let Routed::Ready(_) = routed {
-        flights.remove(&fkey);
+        flights.remove(&key);
     }
     routed
 }
 
-/// The analysis job body: parse per policy, content-address, check the
-/// sharded cache, compute + render + insert on a miss. Runs on a queue
-/// worker; the returned reply is the template every waiter receives.
+/// The analysis job body: re-check the cache (a flight for the same body
+/// may have finished since the shard's lookup), parse per policy, analyze,
+/// render and insert. Runs on a queue worker; the returned reply is the
+/// template every waiter receives.
 fn compute_analyze_reply(
     state: &Arc<State>,
-    fkey: FlightKey,
+    key: BodyKey,
     body: &[u8],
     config: &AnalysisConfig,
 ) -> Reply {
+    if let Some(cached) = state.cache.recheck(&key) {
+        return hit_reply(cached);
+    }
     let Ok(text) = std::str::from_utf8(body) else {
         return Reply::bad_request("trace body is not UTF-8\n".to_string());
     };
@@ -1077,26 +1008,6 @@ fn compute_analyze_reply(
         Err(e) => return Reply::text(422, "Unprocessable Entity", format!("{e}\n")),
     };
 
-    // Content address: canonical bytes + config fingerprint. The witness
-    // (length + independent second hash) is what `get` checks before
-    // serving a stored report, so a 64-bit key collision degrades to a
-    // recomputed miss instead of another trace's report.
-    let canonical = prv::write_trace(&trace);
-    let key = CacheKey::derive(&canonical, config);
-    let witness = TraceWitness::derive(&canonical);
-    let lookup_t0 = Instant::now();
-    let cached = state.cache.get(&key, &witness);
-    phasefold_obs::histogram!("serve.cache_lookup", lookup_t0.elapsed().as_nanos() as u64);
-    if let Some(report) = cached {
-        remember_raw(state, fkey, RawEntry { key, witness, parse_quarantined });
-        let mut reply = Reply::text(200, "OK", report)
-            .header("x-cache", "hit".to_string())
-            .header("x-parse-quarantined", parse_quarantined.to_string());
-        reply.meta.cache_hit = true;
-        reply.meta.faults = parse_quarantined as u64;
-        return reply;
-    }
-
     let t0 = Instant::now();
     let outcome = try_analyze_trace(&trace, config);
     let analyze_ns = t0.elapsed().as_nanos() as u64;
@@ -1105,8 +1016,7 @@ fn compute_analyze_reply(
         Ok(analysis) => {
             let analysis_faults = analysis.faults.faults.len() as u64;
             let report = render_report(&analysis, &trace.registry);
-            state.cache.insert(key, witness, report.clone());
-            remember_raw(state, fkey, RawEntry { key, witness, parse_quarantined });
+            state.cache.insert(key, Cached { report: report.as_str().into(), parse_quarantined });
             let mut reply = Reply::text(200, "OK", report)
                 .header("x-cache", "miss".to_string())
                 .header("x-parse-quarantined", parse_quarantined.to_string());
@@ -1144,7 +1054,7 @@ enum Waiters {
     One(ReplySlot),
     /// Every connection coalesced under an in-flight `/v1/analyze` body;
     /// index 0 of its `flights` entry is the submitter.
-    Flight(FlightKey),
+    Flight(BodyKey),
 }
 
 /// Delivers a job's reply to its waiters on `Drop`, so a panicking job
@@ -1161,8 +1071,8 @@ impl Drop for DeliverGuard {
     fn drop(&mut self) {
         let slots = match self.waiters {
             Waiters::One(slot) => vec![slot],
-            Waiters::Flight(fkey) => {
-                lock_recover(&self.state.flights).remove(&fkey).unwrap_or_default()
+            Waiters::Flight(key) => {
+                lock_recover(&self.state.flights).remove(&key).unwrap_or_default()
             }
         };
         let replies = fan_out(self.reply.take(), self.what, slots.len());
@@ -1514,7 +1424,6 @@ fn sweep_idle_sessions(state: &Arc<State>) {
             }
         }
         state.sessions_evicted.fetch_add(1, Ordering::SeqCst);
-        phasefold_obs::counter!("serve.sessions_evicted", 1);
     }
 }
 
@@ -1557,7 +1466,6 @@ fn session(state: &Arc<State>, req: &Request, id: &str) -> Result<Arc<StreamSess
     // than grown past it.
     if sessions.len() >= state.config.max_sessions {
         state.sessions_rejected.fetch_add(1, Ordering::SeqCst);
-        phasefold_obs::counter!("serve.sessions_rejected", 1);
         return Err(Reply::text(
             429,
             "Too Many Requests",

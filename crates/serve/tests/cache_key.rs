@@ -1,17 +1,18 @@
-//! Properties of the content address: canonicalization is stable (the same
-//! trace always maps to the same key, whatever formatting it arrived in),
-//! any semantic mutation — of a record or of a config field — moves the
-//! key, and a cache hit is byte-identical to the cold run it replaced.
+//! Properties of the `/v1/analyze` cache key, which is the body as it
+//! arrived plus its fault policy: a re-serialized trace keeps its key, any
+//! 1-byte change, any change of length and a change of policy each move
+//! it, and a cache hit is byte-identical to the cold run it replaced —
+//! over the wire, per policy.
 
 mod common;
 
 use proptest::prelude::*;
 
-use phasefold::AnalysisConfig;
+use phasefold::FaultPolicy;
 use phasefold_model::{
-    codec, prv, CommKind, CounterSet, RankId, Record, RegionKind, SourceRegistry, TimeNs, Trace,
+    prv, CommKind, CounterSet, RankId, Record, RegionKind, SourceRegistry, TimeNs, Trace,
 };
-use phasefold_serve::cache::{config_fingerprint, CacheKey, ResultCache, TraceWitness};
+use phasefold_serve::cache::{BodyKey, Cached, ResultCache};
 use phasefold_serve::Client;
 use std::time::Duration;
 
@@ -55,102 +56,50 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-fn key_of(trace: &Trace, config: &AnalysisConfig) -> CacheKey {
-    CacheKey::derive(&prv::write_trace(trace), config)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The same trace always addresses the same entry, however the bytes
-    /// arrived: re-parsing the canonical form — even decorated with extra
-    /// whitespace and comments — lands on identical canonical bytes.
+    /// The canonical writer is a fixed point, so a client that parses and
+    /// re-serializes a trace before posting it lands on the same key.
     #[test]
     fn canonicalization_is_stable(trace in arb_trace()) {
-        let config = AnalysisConfig::default();
-        let key = key_of(&trace, &config);
-        prop_assert_eq!(key, key_of(&trace, &config));
-
         let text = prv::write_trace(&trace);
-        let decorated = format!("{text}\n\n\n");
-        let (reparsed, faults) = prv::parse_trace_lenient(&decorated).expect("reparse failed");
+        let (reparsed, faults) = prv::parse_trace_lenient(&text).expect("reparse failed");
         prop_assert_eq!(faults.faults.len(), 0);
-        prop_assert_eq!(key, key_of(&reparsed, &config));
-    }
-
-    /// Mutating any record moves the key: a timestamp bump and a counter
-    /// perturbation must both change the canonical bytes.
-    #[test]
-    fn record_mutation_moves_the_key(trace in arb_trace(), bump in 1u64..1000) {
-        let config = AnalysisConfig::default();
-        let key = key_of(&trace, &config);
-
-        // Timestamp mutation: push one extra record past the last time.
-        let mut touched = trace.clone();
-        let (last_rank, last_t) = touched
-            .iter_ranks()
-            .map(|(r, s)| (r, s.records().last().map_or(0, |rec| rec.time().0)))
-            .max_by_key(|(_, t)| *t)
-            .expect("non-empty trace");
-        touched
-            .rank_mut(last_rank)
-            .expect("rank exists")
-            .push(Record::CommEnter {
-                time: TimeNs(last_t + bump),
-                kind: CommKind::Wait,
-                counters: CounterSet::from_array([1.0; 10]),
-            })
-            .expect("monotonic");
-        prop_assert_ne!(key, key_of(&touched, &config));
-
-        // Counter mutation: perturb the first comm record's counters.
-        let mut perturbed = trace.clone();
-        let first_rank = perturbed.iter_ranks().next().map(|(r, _)| r).expect("rank");
-        let stream = perturbed.rank_mut(first_rank).expect("rank exists");
-        let mut records: Vec<Record> = stream.records().to_vec();
-        if let Some(Record::CommExit { counters, .. }) = records.first_mut() {
-            let mut vals = [0.0f64; 10];
-            for (i, v) in vals.iter_mut().enumerate() {
-                *v = counters.as_array()[i] + 1.0;
-            }
-            *counters = CounterSet::from_array(vals);
-        }
-        let mut rebuilt = Trace::with_ranks(perturbed.registry.clone(), 3);
-        let rb = rebuilt.rank_mut(first_rank).expect("rank exists");
-        for r in records {
-            rb.push(r).expect("monotonic");
-        }
-        prop_assert_ne!(
-            codec::fnv1a64(prv::write_trace(&trace).as_bytes()),
-            codec::fnv1a64(prv::write_trace(&rebuilt).as_bytes()),
+        prop_assert_eq!(
+            BodyKey::derive(text.as_bytes(), FaultPolicy::Lenient),
+            BodyKey::derive(prv::write_trace(&reparsed).as_bytes(), FaultPolicy::Lenient),
         );
     }
 
-    /// Config fields are part of the address; `threads` is not.
+    /// Changing any one byte of a trace body moves the key: both hashes
+    /// change, so neither alone decides a hit.
     #[test]
-    fn config_mutation_moves_the_fingerprint(
-        min_points in 5usize..200,
-        min_burst_us in 1u64..500,
-        threads in 1usize..16,
+    fn record_mutation_moves_the_key(
+        trace in arb_trace(),
+        pos in 0usize..1 << 20,
+        flip in 1u8..255,
     ) {
-        let base = AnalysisConfig::default();
-        let fp = config_fingerprint(&base);
+        let text = prv::write_trace(&trace).into_bytes();
+        let key = BodyKey::derive(&text, FaultPolicy::Lenient);
+        prop_assert_eq!(key, BodyKey::derive(&text, FaultPolicy::Lenient));
 
-        let mut c = base.clone();
-        c.min_folded_points = base.min_folded_points + min_points;
-        prop_assert_ne!(fp, config_fingerprint(&c));
+        let mut mutated = text.clone();
+        mutated[pos % text.len()] ^= flip;
+        let moved = BodyKey::derive(&mutated, FaultPolicy::Lenient);
+        prop_assert_ne!(key.raw, moved.raw);
+        prop_assert_ne!(key.alt, moved.alt);
+    }
 
-        let mut c = base.clone();
-        c.min_burst_duration = phasefold_model::DurNs::from_micros(min_burst_us + 1000);
-        prop_assert_ne!(fp, config_fingerprint(&c));
-
-        let mut c = base.clone();
-        c.fault_policy = phasefold::FaultPolicy::Strict;
-        prop_assert_ne!(fp, config_fingerprint(&c));
-
-        let mut c = base.clone();
-        c.threads = Some(threads);
-        prop_assert_eq!(fp, config_fingerprint(&c));
+    /// A change of length or of fault policy moves the key, even when the
+    /// extra bytes parse to the same trace.
+    #[test]
+    fn policy_and_length_move_the_key(trace in arb_trace()) {
+        let text = prv::write_trace(&trace);
+        let key = BodyKey::derive(text.as_bytes(), FaultPolicy::Lenient);
+        prop_assert_ne!(key, BodyKey::derive(text.as_bytes(), FaultPolicy::Strict));
+        let padded = format!("{text}\n");
+        prop_assert_ne!(key, BodyKey::derive(padded.as_bytes(), FaultPolicy::Lenient));
     }
 }
 
@@ -158,12 +107,12 @@ proptest! {
 /// cold run produced — and the same holds for the cache type itself.
 #[test]
 fn cache_hit_is_byte_identical_to_cold_run() {
-    let mut cache = ResultCache::new(4, None).expect("memory-only cache");
-    let key = CacheKey { trace: 0xabcd, config: 0x1234 };
-    let report = "phasefold report\ncluster 0: 3 phases\n".to_string();
-    let witness = TraceWitness::derive("the canonical trace bytes");
-    cache.insert(key, witness, report.clone());
-    assert_eq!(cache.get(&key, &witness).as_deref(), Some(report.as_str()));
+    let cache = ResultCache::new(4);
+    let key = BodyKey::derive(b"the trace body", FaultPolicy::Lenient);
+    let report = "phasefold report\ncluster 0: 3 phases\n";
+    let cached = Cached { report: report.into(), parse_quarantined: 2 };
+    cache.insert(key, cached.clone());
+    assert_eq!(cache.get(&key), Some(cached));
 
     let (handle, addr) = common::boot(common::test_config());
     let body = common::trace_text(120, 2, 9);
@@ -178,5 +127,29 @@ fn cache_hit_is_byte_identical_to_cold_run() {
         .expect("warm request");
     assert!(warm.cache_hit());
     assert_eq!(cold.body, warm.body);
+    assert_eq!(cold.header("x-parse-quarantined"), warm.header("x-parse-quarantined"));
+    handle.shutdown();
+}
+
+/// The same body under two fault policies is two cache entries: each
+/// policy misses once, then hits with its own cold run's bytes.
+#[test]
+fn fault_policy_is_part_of_the_key_over_the_wire() {
+    let (handle, addr) = common::boot(common::test_config());
+    let body = common::trace_text(60, 2, 13);
+    let mut client = Client::connect(&addr, Duration::from_secs(120)).expect("connect");
+    let paths = ["/v1/analyze?fault-policy=strict", "/v1/analyze"];
+    let mut cold = Vec::new();
+    for path in paths {
+        let resp = client.request("POST", path, &[], body.as_bytes()).expect("cold request");
+        assert_eq!((resp.status, resp.header("x-cache")), (200, Some("miss")), "{path}");
+        cold.push(resp);
+    }
+    for (path, cold) in paths.iter().zip(&cold) {
+        let resp = client.request("POST", path, &[], body.as_bytes()).expect("warm request");
+        assert_eq!((resp.status, resp.header("x-cache")), (200, Some("hit")), "{path}");
+        assert_eq!(resp.body, cold.body, "{path}");
+        assert_eq!(resp.header("x-parse-quarantined"), cold.header("x-parse-quarantined"));
+    }
     handle.shutdown();
 }

@@ -32,6 +32,22 @@ fn threads_named(prefix: &str) -> usize {
         .count()
 }
 
+/// [`threads_named`] once the census has settled: a joined thread can stay
+/// listed in `/proc/self/task` for a moment, so read until two reads 20 ms
+/// apart agree, giving up after a few seconds.
+fn settled_threads_named(prefix: &str) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = threads_named(prefix);
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = threads_named(prefix);
+        if now == last || Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
 /// The drain must not wait out `read_timeout` on connections that are
 /// merely parked between keep-alive requests: shutdown wakes the shards
 /// and idle connections close on the next loop turn.
@@ -72,7 +88,7 @@ fn drain_with_idle_keepalive_is_prompt() {
 #[test]
 fn teardown_joins_every_serve_thread() {
     let _serial = serial();
-    let before = threads_named("serve-");
+    let before = settled_threads_named("serve-");
     let (handle, addr) = boot(test_config());
     let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
     let body = trace_text(40, 2, 7);
@@ -83,7 +99,7 @@ fn teardown_joins_every_serve_thread() {
     let stats = handle.shutdown();
     assert!(stats.clean, "drain was not clean: {stats:?}");
     assert_eq!(
-        threads_named("serve-"),
+        settled_threads_named("serve-"),
         before,
         "serve threads leaked past shutdown()"
     );
@@ -163,8 +179,8 @@ fn concurrent_identical_bodies_coalesce() {
     let misses = results.iter().filter(|(_, x, _)| x.as_deref() == Some("miss")).count();
     assert!(misses <= 1, "multiple responses claimed the same cache miss");
 
-    // And a byte-identical warm repeat is a true cache hit (raw-body
-    // memo: no re-parse, same bytes back).
+    // And a byte-identical warm repeat is a true cache hit (answered by
+    // the shard from the body-keyed cache: no re-parse, same bytes back).
     let mut client = Client::connect(&addr, Duration::from_secs(10)).unwrap();
     let warm = client.request("POST", "/v1/analyze", &[], body.as_bytes()).unwrap();
     assert_eq!(warm.status, 200);

@@ -78,6 +78,34 @@ fn prometheus_exposition_renders_buckets_and_server_series() {
     handle.shutdown();
 }
 
+/// Each Prometheus family is exposed once, and the cache series are this
+/// daemon's own counts (other daemons in the process do not leak in).
+#[test]
+fn prometheus_families_are_unique_and_cache_counts_are_per_daemon() {
+    let (handle, addr) = boot(test_config());
+    let body = trace_text(40, 2, 5);
+    let mut client = Client::connect(&addr, Duration::from_secs(30)).expect("connect");
+    for want in ["miss", "hit"] {
+        let resp = client.request("POST", "/v1/analyze", &[], body.as_bytes()).expect("analyze");
+        assert_eq!((resp.status, resp.header("x-cache")), (200, Some(want)));
+    }
+    let prom = client.request("GET", "/metrics?format=prom", &[], b"").expect("prom").text();
+    let mut families: Vec<&str> =
+        prom.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+    let exposed = families.len();
+    families.sort_unstable();
+    families.dedup();
+    assert_eq!(families.len(), exposed, "a # TYPE family repeats:\n{prom}");
+    for series in ["serve_cache_hits 1", "serve_cache_misses 1"] {
+        assert_eq!(prom.lines().filter(|l| *l == series).count(), 1, "{series}:\n{prom}");
+    }
+    let json = client.request("GET", "/metrics", &[], b"").expect("metrics").text();
+    for series in ["\"cache_hits\": 1,", "\"cache_misses\": 1,"] {
+        assert!(json.lines().any(|l| l == series), "{series}:\n{json}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn debug_requests_lists_recent_and_slowest() {
     let (handle, addr) = boot(test_config());

@@ -42,12 +42,13 @@ fn analyze_misses_then_hits_with_identical_bytes() {
     assert_eq!(warm.header("x-cache"), Some("hit"));
     assert_eq!(cold.body, warm.body, "cache hit must be byte-identical to the cold run");
 
-    // Canonicalization: a trailing blank line changes the submitted bytes
-    // but not the canonical trace, so it still hits.
+    // The cache is keyed by the body bytes: a trailing blank line is a
+    // different body, so it misses, and analyzes to the same report.
     let padded = format!("{body}\n\n");
-    let still_warm = client.request("POST", "/v1/analyze", &[], padded.as_bytes()).unwrap();
-    assert_eq!(still_warm.header("x-cache"), Some("hit"));
-    assert_eq!(cold.body, still_warm.body);
+    let padded_cold = client.request("POST", "/v1/analyze", &[], padded.as_bytes()).unwrap();
+    assert_eq!(padded_cold.status, 200);
+    assert_eq!(padded_cold.header("x-cache"), Some("miss"));
+    assert_eq!(cold.body, padded_cold.body);
 
     handle.shutdown();
 }

@@ -10,6 +10,7 @@
 #   - every smoke request answers with the expected status,
 #   - the warm /v1/analyze answer is byte-identical to the cold one and
 #     carries `x-cache: hit`,
+#   - no `# TYPE` family repeats in the Prometheus exposition,
 #   - worst p99 latency across load levels stays under P99_GATE_MS,
 #   - the daemon's own /metrics latency histogram agrees with the
 #     client-observed p99 (within 25% or 1 ms — telemetry that disagrees
@@ -67,7 +68,7 @@ LOADGEN=target/release/exp_serve_load
 
 echo "== booting daemon on an ephemeral port =="
 "$PHASEFOLD" serve --addr 127.0.0.1:0 --workers 4 --queue-depth 32 \
-    --cache-dir "$WORK/cache" --fleet-dir "$WORK/fleet" \
+    --fleet-dir "$WORK/fleet" \
     --port-file "$PORT_FILE" >"$SERVE_LOG" 2>&1 &
 SERVER_PID=$!
 
@@ -140,6 +141,17 @@ if [[ "$(body_of "$COLD")" != "$(body_of "$WARM")" ]]; then
     exit 1
 fi
 echo "ok: cache hit is byte-identical to the cold run"
+
+echo "== Prometheus exposition: one # TYPE line per family =="
+PROM=$(request GET "/metrics?format=prom")
+expect_status "GET /metrics?format=prom" 200 "$PROM"
+DUPES=$(body_of "$PROM" | awk '$1 == "#" && $2 == "TYPE" {print $3}' | sort | uniq -d)
+if [[ -n "$DUPES" ]]; then
+    echo "FAIL: repeated # TYPE families in /metrics?format=prom:"
+    printf '%s\n' "$DUPES"
+    exit 1
+fi
+echo "ok: every # TYPE family appears once"
 
 echo "== fleet fingerprint + compare smoke =="
 expect_status "POST /v1/fingerprints" 200 \
