@@ -1,7 +1,12 @@
 //! Criterion micro-bench: piece-wise linear regression fitting cost as a
-//! function of scatter size and true segment count.
+//! function of scatter size and true segment count, plus the
+//! fixed-breakpoint monotone refit that every non-instruction counter runs.
+//!
+//! n = 20 000 and n = 90 000 are the fold sizes of a `serve-cold` request
+//! and of `phasefold simulate md --ranks 8`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use phasefold_regress::hinge::fit_hinge_monotone;
 use phasefold_regress::{fit_pwlr, PwlrConfig};
 
 fn scatter(n: usize, segments: usize) -> (Vec<f64>, Vec<f64>) {
@@ -26,7 +31,7 @@ fn scatter(n: usize, segments: usize) -> (Vec<f64>, Vec<f64>) {
 
 fn bench_pwlr(c: &mut Criterion) {
     let mut group = c.benchmark_group("pwlr_fit");
-    for &n in &[200usize, 1000, 5000] {
+    for &n in &[200usize, 1000, 5000, 20_000, 90_000] {
         for &segments in &[2usize, 4] {
             let (xs, ys) = scatter(n, segments);
             group.bench_with_input(
@@ -34,7 +39,8 @@ fn bench_pwlr(c: &mut Criterion) {
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        fit_pwlr(&xs, &ys, None, &PwlrConfig::default()).expect("fit")
+                        fit_pwlr(black_box(&xs), black_box(&ys), None, &PwlrConfig::default())
+                            .expect("fit")
                     })
                 },
             );
@@ -43,5 +49,22 @@ fn bench_pwlr(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pwlr);
+/// `refit_counter`'s call: a monotone hinge fit at fixed breakpoints (the
+/// instruction profile's), four segments.
+fn bench_refit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monotone_refit");
+    let breakpoints = [0.25, 0.5, 0.75];
+    for &n in &[20_000usize, 90_000] {
+        let (xs, ys) = scatter(n, 4);
+        group.bench_with_input(BenchmarkId::new("4seg", n), &n, |b, _| {
+            b.iter(|| {
+                fit_hinge_monotone(black_box(&xs), black_box(&ys), None, &breakpoints, 0.0, 1.0)
+                    .expect("refit")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pwlr, bench_refit);
 criterion_main!(benches);

@@ -104,12 +104,6 @@ pub fn bootstrap_pwlr(
 
     let mut fixed_cfg = pwlr.clone();
     fixed_cfg.criterion = crate::model_select::SelectionCriterion::FixedSegments(reference_k);
-    // Replicates already keep every core busy at the caller's level; nested
-    // candidate fan-out inside each of the ~2·replicates fits would only
-    // oversubscribe, so force the sequential path here.
-    fixed_cfg.candidate_threads = 1;
-    let mut free_cfg = pwlr.clone();
-    free_cfg.candidate_threads = 1;
 
     let mut rng = SplitMix64::new(config.seed);
     let mut bp_samples: Vec<Vec<f64>> = vec![Vec::new(); reference_k.saturating_sub(1)];
@@ -144,7 +138,7 @@ pub fn bootstrap_pwlr(
         }
         ok += 1;
         // Free-order fit for stability.
-        if let Ok(free) = fit_pwlr(&rx, &ry, None, &free_cfg) {
+        if let Ok(free) = fit_pwlr(&rx, &ry, None, pwlr) {
             if free.num_segments() == reference_k {
                 order_matches += 1;
             }

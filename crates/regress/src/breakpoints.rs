@@ -8,8 +8,31 @@
 //! column `−I(x > ψ_j)`; after a joint linear fit, `δ_j/γ_j` estimates how
 //! far the true breakpoint is from `ψ_j`, and the update
 //! `ψ_j ← ψ_j + δ_j/γ_j` converges in a handful of iterations.
+//!
+//! # Cost: sufficient statistics, not a design matrix
+//!
+//! Every column of the basis `[1, x, (x−ψ_j)₊, −I(x>ψ_j)]` is zero or
+//! polynomial in x on a *suffix* of the points sorted by x: the points with
+//! `x > ψ_j`. So every entry of its Gram matrix and right-hand side is a
+//! closed form in the suffix sums `S_m(t) = Σ_{i≥t} w_i x_iᵐ` (m = 0, 1, 2)
+//! and `Σ_{i≥t} w_i y_i`, `Σ_{i≥t} w_i x_i y_i`, for example
+//! `⟨h_a, h_b⟩ = S₂ − (ψ_a+ψ_b)·S₁ + ψ_a·ψ_b·S₀` at suffix `max(t_a, t_b)`.
+//! [`ProfileSums`] builds those suffix sums once per profile in O(n); an
+//! iteration then locates each ψ by binary search (`partition_point(x ≤ ψ)`,
+//! which keeps the strict `x > ψ` convention, so a point exactly at ψ lies
+//! left of it) and assembles the `(2+2k)²` system in O(k² + k log n),
+//! independent of n.
+//!
+//! Numerics: the closed forms subtract, which cancels when ψ sits far from
+//! the origin of x. The sums therefore use x centred on the domain midpoint
+//! (`u = x − (lo+hi)/2`, so |u| ≤ (hi−lo)/2 on the domain, and ψ is shifted
+//! alike), and they are accumulated with Neumaier-compensated summation, so
+//! each suffix sum is exact to a few ulps whatever n is. Centring changes
+//! only the intercept's parametrisation, not the `γ_j`, `δ_j` the update
+//! reads. The row-wise form this replaces is kept as the oracle in
+//! `phasefold-verify` (`muggeo-rowwise`).
 
-use crate::linalg::{wls_into, LsScratch, Mat};
+use crate::linalg::{solve_spd_into, Mat, SpdScratch};
 
 /// Controls for [`refine_breakpoints`].
 #[derive(Debug, Clone, Copy)]
@@ -37,13 +60,166 @@ impl Default for RefineConfig {
     }
 }
 
-/// Reusable buffers for [`refine_breakpoints_with`]: the design matrix and
-/// solver scratch survive across Muggeo iterations *and* across calls, so
-/// refining many candidates allocates nothing on the hot path.
+/// Neumaier-compensated running sum: the rounding error of each addition
+/// is carried in `comp` and folded back in by [`Compensated::value`].
+#[derive(Clone, Copy, Default)]
+struct Compensated {
+    sum: f64,
+    comp: f64,
+}
+
+impl Compensated {
+    fn add(&mut self, v: f64) {
+        let t = self.sum + v;
+        self.comp += if self.sum.abs() >= v.abs() {
+            (self.sum - t) + v
+        } else {
+            (v - t) + self.sum
+        };
+        self.sum = t;
+    }
+
+    fn value(self) -> f64 {
+        self.sum + self.comp
+    }
+}
+
+/// Weighted suffix sums of a profile sorted by x: the sufficient statistics
+/// of every Muggeo system on that profile (see the module docs).
+///
+/// Built once per profile in O(n); each refinement iteration then reads
+/// O(k) entries of it.
+pub struct ProfileSums<'a> {
+    xs: &'a [f64],
+    centre: f64,
+    /// `suffix[t] = Σ_{i≥t} w_i·[1, u_i, u_i², y_i, u_i·y_i]` with
+    /// `u = x − centre`, compensated; `suffix[n]` is all zeros.
+    suffix: Vec<[f64; 5]>,
+}
+
+impl<'a> ProfileSums<'a> {
+    /// Builds the suffix sums of `(xs, ys, weights)` for the domain
+    /// `[lo, hi]`; `weights = None` means unit weights.
+    ///
+    /// # Panics
+    ///
+    /// If `xs` is not sorted ascending (in `f64::total_cmp` order) or the
+    /// slices differ in length: the binary searches would silently read
+    /// the wrong suffix.
+    pub fn from_sorted(
+        xs: &'a [f64],
+        ys: &[f64],
+        weights: Option<&[f64]>,
+        lo: f64,
+        hi: f64,
+    ) -> ProfileSums<'a> {
+        assert_eq!(xs.len(), ys.len(), "x and y lengths differ");
+        assert!(weights.is_none_or(|w| w.len() == xs.len()), "weight length differs");
+        assert!(xs.is_sorted_by(|a, b| a.total_cmp(b).is_le()), "xs must be sorted ascending");
+        let centre = 0.5 * (lo + hi);
+        let n = xs.len();
+        let mut suffix = vec![[0.0; 5]; n + 1];
+        let mut acc = [Compensated::default(); 5];
+        for i in (0..n).rev() {
+            let w = weights.map_or(1.0, |w| w[i]);
+            let u = xs[i] - centre;
+            let wu = w * u;
+            let terms = [w, wu, wu * u, w * ys[i], wu * ys[i]];
+            for (a, t) in acc.iter_mut().zip(terms) {
+                a.add(t);
+            }
+            suffix[i] = acc.map(Compensated::value);
+        }
+        ProfileSums { xs, centre, suffix }
+    }
+
+    fn len(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// Index of the first point with `x > psi`.
+    fn cut(&self, psi: f64) -> usize {
+        self.xs.partition_point(|&x| x <= psi)
+    }
+
+    /// Assembles the normal equations of the basis
+    /// `[1, u, (u−φ_j)₊ …, −I(u>φ_j) …]` (`φ = ψ − centre`) into `gram`
+    /// and `rhs`, using `cuts` as scratch.
+    fn muggeo_system(
+        &self,
+        psi: &[f64],
+        cuts: &mut Vec<usize>,
+        gram: &mut Mat,
+        rhs: &mut Vec<f64>,
+    ) {
+        let k = psi.len();
+        let p = 2 + 2 * k;
+        cuts.clear();
+        cuts.extend(psi.iter().map(|&b| self.cut(b)));
+        gram.reshape_zeroed(p, p);
+        rhs.clear();
+        rhs.resize(p, 0.0);
+        let [t0, t1, t2, ty, tuy] = self.suffix[0];
+        gram[(0, 0)] = t0;
+        gram[(0, 1)] = t1;
+        gram[(1, 1)] = t2;
+        rhs[0] = ty;
+        rhs[1] = tuy;
+        let (h, g) = (2, 2 + k);
+        for a in 0..k {
+            let pa = psi[a] - self.centre;
+            let [s0, s1, s2, sy, suy] = self.suffix[cuts[a]];
+            gram[(0, h + a)] = s1 - pa * s0;
+            gram[(1, h + a)] = s2 - pa * s1;
+            gram[(0, g + a)] = -s0;
+            gram[(1, g + a)] = -s1;
+            rhs[h + a] = suy - pa * sy;
+            rhs[g + a] = -sy;
+            for b in a..k {
+                let pb = psi[b] - self.centre;
+                // Both columns are non-zero only on the later suffix.
+                let [s0, s1, s2, _, _] = self.suffix[cuts[a].max(cuts[b])];
+                gram[(h + a, h + b)] = s2 - (pa + pb) * s1 + pa * pb * s0;
+                gram[(h + a, g + b)] = -(s1 - pa * s0);
+                gram[(h + b, g + a)] = -(s1 - pb * s0);
+                gram[(g + a, g + b)] = s0;
+            }
+        }
+        // Mirror the upper triangle.
+        for r in 0..p {
+            for c in 0..r {
+                gram[(r, c)] = gram[(c, r)];
+            }
+        }
+    }
+}
+
+/// Sorts a scatter by x (`f64::total_cmp`), carrying y and the weights
+/// along: the precondition of [`ProfileSums::from_sorted`].
+pub(crate) fn sort_by_x(
+    xs: &[f64],
+    ys: &[f64],
+    weights: Option<&[f64]>,
+) -> (Vec<f64>, Vec<f64>, Option<Vec<f64>>) {
+    assert_eq!(xs.len(), ys.len());
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+    let sx = order.iter().map(|&i| xs[i]).collect();
+    let sy = order.iter().map(|&i| ys[i]).collect();
+    let sw = weights.map(|w| order.iter().map(|&i| w[i]).collect());
+    (sx, sy, sw)
+}
+
+/// Reusable buffers for [`refine_breakpoints_with`]: the `(2+2k)²` normal
+/// equations and the Cholesky workspace survive across Muggeo iterations
+/// *and* across calls, so refining many candidates allocates nothing on the
+/// hot path.
 #[derive(Default)]
 pub struct RefineScratch {
-    design: Mat,
-    ls: LsScratch,
+    gram: Mat,
+    rhs: Vec<f64>,
+    spd: SpdScratch,
+    cuts: Vec<usize>,
     next: Vec<f64>,
 }
 
@@ -59,7 +235,9 @@ impl RefineScratch {
 /// Returns the refined, sorted breakpoints. Breakpoints that collapse onto a
 /// neighbour or an edge (their segment vanished — the DP over-proposed) are
 /// dropped, so the output may be shorter than the input. The inputs need not
-/// be sorted by x.
+/// be sorted by x: this sorts a copy and builds its [`ProfileSums`]. Callers
+/// refining several proposals on one profile should build the sums once and
+/// call [`refine_breakpoints_with`].
 pub fn refine_breakpoints(
     xs: &[f64],
     ys: &[f64],
@@ -69,15 +247,16 @@ pub fn refine_breakpoints(
     hi: f64,
     config: &RefineConfig,
 ) -> Vec<f64> {
-    refine_breakpoints_with(xs, ys, weights, breakpoints, lo, hi, config, &mut RefineScratch::new())
+    let (sx, sy, sw) = sort_by_x(xs, ys, weights);
+    let sums = ProfileSums::from_sorted(&sx, &sy, sw.as_deref(), lo, hi);
+    refine_breakpoints_with(&sums, breakpoints, lo, hi, config, &mut RefineScratch::new())
 }
 
-/// [`refine_breakpoints`] using caller-provided scratch buffers.
-#[allow(clippy::too_many_arguments)]
+/// [`refine_breakpoints`] on a profile's prebuilt suffix sums, using
+/// caller-provided scratch buffers. Each iteration costs O(k² + k log n)
+/// plus one `(2+2k)`-wide Cholesky solve.
 pub fn refine_breakpoints_with(
-    xs: &[f64],
-    ys: &[f64],
-    weights: Option<&[f64]>,
+    sums: &ProfileSums<'_>,
     breakpoints: &[f64],
     lo: f64,
     hi: f64,
@@ -87,28 +266,18 @@ pub fn refine_breakpoints_with(
     let mut psi: Vec<f64> = breakpoints.to_vec();
     psi.sort_by(|a, b| a.total_cmp(b));
     psi = enforce_separation(psi, lo, hi, config.min_separation);
-    if psi.is_empty() || xs.len() < 2 * psi.len() + 2 {
+    if psi.is_empty() || sums.len() < 2 * psi.len() + 2 {
         return psi;
     }
 
     for _ in 0..config.max_iters {
         phasefold_obs::counter!("regress.muggeo_iters", 1);
+        // `k` can shrink between iterations when a breakpoint collapses and
+        // is dropped by `enforce_separation`; the system is resized per
+        // iteration.
         let k = psi.len();
-        // Design: [1, x, (x−ψ_j)₊ …, −I(x>ψ_j) …]. The matrix is reshaped in
-        // place: `k` can shrink between iterations when a breakpoint
-        // collapses and is dropped by `enforce_separation`.
-        let design = &mut scratch.design;
-        design.reshape_zeroed(xs.len(), 2 + 2 * k);
-        for (i, &x) in xs.iter().enumerate() {
-            let row = design.row_mut(i);
-            row[0] = 1.0;
-            row[1] = x;
-            for (j, &p) in psi.iter().enumerate() {
-                row[2 + j] = (x - p).max(0.0);
-                row[2 + k + j] = if x > p { -1.0 } else { 0.0 };
-            }
-        }
-        let Ok(beta) = wls_into(&scratch.design, ys, weights, &mut scratch.ls) else {
+        sums.muggeo_system(&psi, &mut scratch.cuts, &mut scratch.gram, &mut scratch.rhs);
+        let Ok(beta) = solve_spd_into(&scratch.gram, &scratch.rhs, &mut scratch.spd) else {
             break;
         };
         let mut max_move: f64 = 0.0;

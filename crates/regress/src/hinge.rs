@@ -13,8 +13,28 @@
 //! parametrisation makes the monotonicity constraint of accumulating
 //! counters (`s_j ≥ 0`) a plain non-negativity bound — solvable exactly by
 //! NNLS — and reads directly as "per-phase counter rate".
+//!
+//! # Cost: per-segment sums, not a design matrix
+//!
+//! A point in segment `s` (edges `e_s ≤ x < e_{s+1}`, the edge segments
+//! extended to ±∞) has the design row `[1, W_0, …, W_{s−1}, d, 0, …, 0]`,
+//! with widths `W_j = e_{j+1} − e_j` and local offset `d = x − e_s`. So the
+//! Gram matrix and right-hand side of the fit depend on the data only
+//! through five sums per segment: `Σw`, `Σw·d`, `Σw·d²`, `Σw·y`, `Σw·d·y`.
+//! One bucketing pass (a binary search over the k breakpoints per point,
+//! O(n log k), any input order) collects them; the `(k+2)²` system follows
+//! in O(k²) and is solved by Cholesky, or by Lawson–Hanson NNLS on the Gram
+//! ([`crate::linalg::nnls_gram_into`]) for the monotone fit. No entry is a
+//! difference of large sums (the offsets are local to each segment), so
+//! plain summation is as accurate as the row-wise Gram it replaces (kept as
+//! the oracle in `phasefold-verify`, `hinge-rowwise`).
+//!
+//! The SSE and r² of a fit are not derived from those sums: one exact
+//! residual pass per fit evaluates the model at every point, so model
+//! selection scores carry no sum-cancellation error. Negative weights count
+//! as zero in the fit.
 
-use crate::linalg::{nnls_into, wls_into, LinalgError, LsScratch, Mat, NnlsScratch};
+use crate::linalg::{nnls_gram_into, solve_spd_into, LinalgError, Mat, NnlsScratch, SpdScratch};
 use crate::stats::r_squared;
 
 /// A fitted continuous piece-wise linear model.
@@ -132,13 +152,13 @@ fn validate_breakpoints(breakpoints: &[f64], lo: f64, hi: f64) -> Result<(), Fit
 /// repeated fitting allocation-free apart from the returned [`HingeFit`].
 #[derive(Default)]
 pub struct HingeScratch {
-    design: Mat,
-    base: Mat,
     edges: Vec<f64>,
-    b: Vec<f64>,
-    pred: Vec<f64>,
-    ls: LsScratch,
+    sums: Vec<[f64; 5]>,
+    gram: Mat,
+    rhs: Vec<f64>,
+    spd: SpdScratch,
     nnls: NnlsScratch,
+    pred: Vec<f64>,
 }
 
 impl HingeScratch {
@@ -146,41 +166,81 @@ impl HingeScratch {
     pub fn new() -> HingeScratch {
         HingeScratch::default()
     }
-}
 
-/// Builds the slope-space design matrix: one column per segment holding the
-/// overlap of `[lo, x_i]` with that segment, plus (optionally) a leading
-/// intercept column.
-fn slope_design_into(
-    xs: &[f64],
-    breakpoints: &[f64],
-    lo: f64,
-    hi: f64,
-    with_intercept: bool,
-    edges: &mut Vec<f64>,
-    m: &mut Mat,
-) {
-    let k = breakpoints.len();
-    let p = k + 1 + usize::from(with_intercept);
-    m.reshape_zeroed(xs.len(), p);
-    edges.clear();
-    edges.push(lo);
-    edges.extend_from_slice(breakpoints);
-    edges.push(hi);
-    for (i, &x) in xs.iter().enumerate() {
-        let row = m.row_mut(i);
-        let mut col = 0;
-        if with_intercept {
-            row[0] = 1.0;
-            col = 1;
+    /// Sets the segment edges `[lo, ψ_1, …, ψ_k, hi]` and collects the
+    /// per-segment sums `[Σw, Σw·d, Σw·d², Σw·y, Σw·d·y]` in one pass.
+    fn bucket(
+        &mut self,
+        xs: &[f64],
+        ys: &[f64],
+        weights: Option<&[f64]>,
+        breakpoints: &[f64],
+        lo: f64,
+        hi: f64,
+    ) {
+        self.edges.clear();
+        self.edges.push(lo);
+        self.edges.extend_from_slice(breakpoints);
+        self.edges.push(hi);
+        self.sums.clear();
+        self.sums.resize(breakpoints.len() + 1, [0.0; 5]);
+        for (i, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+            let s = breakpoints.partition_point(|&b| b <= x);
+            let d = x - self.edges[s];
+            let w = weights.map_or(1.0, |w| w[i].max(0.0));
+            let wd = w * d;
+            let acc = &mut self.sums[s];
+            acc[0] += w;
+            acc[1] += wd;
+            acc[2] += wd * d;
+            acc[3] += w * y;
+            acc[4] += wd * y;
         }
-        for j in 0..=k {
-            let e0 = edges[j];
-            let e1 = edges[j + 1];
-            // Last segment absorbs right extrapolation; first absorbs left.
-            let upper = if j == k { f64::INFINITY } else { e1 - e0 };
-            let lower = if j == 0 { f64::NEG_INFINITY } else { 0.0 };
-            row[col + j] = (x - e0).clamp(lower, upper);
+    }
+
+    /// Assembles the normal equations of the slope-space design from the
+    /// bucketed sums. The leading intercept column is `[1]`, or `[+1, −1]`
+    /// when `split_intercept` (NNLS keeps an unconstrained intercept as the
+    /// difference of two non-negative ones); slope columns follow.
+    fn normal_equations(&mut self, split_intercept: bool) {
+        let k = self.sums.len() - 1;
+        let signs: &[f64] = if split_intercept { &[1.0, -1.0] } else { &[1.0] };
+        let c = signs.len();
+        let p = c + k + 1;
+        let (gram, rhs) = (&mut self.gram, &mut self.rhs);
+        gram.reshape_zeroed(p, p);
+        rhs.clear();
+        rhs.resize(p, 0.0);
+        // Walk the slope columns right to left, carrying the weight and
+        // Σw·y of the segments beyond column j, where its value is W_j.
+        let (mut n_beyond, mut y_beyond) = (0.0, 0.0);
+        for j in (0..=k).rev() {
+            let [n, a, b, y, dy] = self.sums[j];
+            let width = if j < k { self.edges[j + 1] - self.edges[j] } else { 0.0 };
+            // ⟨1, col_j⟩: W_j on the segments beyond j, d on segment j.
+            let with_one = width * n_beyond + a;
+            gram[(c + j, c + j)] = width * width * n_beyond + b;
+            rhs[c + j] = width * y_beyond + dy;
+            for (r, &sign) in signs.iter().enumerate() {
+                gram[(r, c + j)] = sign * with_one;
+            }
+            // Columns i < j are W_i wherever column j is non-zero.
+            for i in 0..j {
+                gram[(c + i, c + j)] = (self.edges[i + 1] - self.edges[i]) * with_one;
+            }
+            n_beyond += n;
+            y_beyond += y;
+        }
+        for (r, &sr) in signs.iter().enumerate() {
+            rhs[r] = sr * y_beyond;
+            for (q, &sq) in signs.iter().enumerate().skip(r) {
+                gram[(r, q)] = sr * sq * n_beyond;
+            }
+        }
+        for r in 0..p {
+            for q in 0..r {
+                gram[(r, q)] = gram[(q, r)];
+            }
         }
     }
 }
@@ -198,7 +258,8 @@ pub fn fit_hinge(
     fit_hinge_with(xs, ys, weights, breakpoints, lo, hi, &mut HingeScratch::new())
 }
 
-/// [`fit_hinge`] using caller-provided scratch buffers.
+/// [`fit_hinge`] using caller-provided scratch buffers. The points may be
+/// in any order.
 pub fn fit_hinge_with(
     xs: &[f64],
     ys: &[f64],
@@ -214,10 +275,11 @@ pub fn fit_hinge_with(
     if xs.len() < p {
         return Err(FitError::TooFewPoints { n: xs.len(), p });
     }
-    slope_design_into(xs, breakpoints, lo, hi, true, &mut scratch.edges, &mut scratch.design);
-    let beta = wls_into(&scratch.design, ys, weights, &mut scratch.ls)?;
+    scratch.bucket(xs, ys, weights, breakpoints, lo, hi);
+    scratch.normal_equations(false);
+    let beta = solve_spd_into(&scratch.gram, &scratch.rhs, &mut scratch.spd)?;
     let (intercept, slopes) = (beta[0], beta[1..].to_vec());
-    finish(xs, ys, weights, breakpoints, lo, hi, intercept, slopes, &mut scratch.pred)
+    finish(xs, ys, weights, breakpoints, lo, hi, intercept, slopes, scratch)
 }
 
 /// Fits the continuous PWL model with all slopes constrained to be
@@ -236,7 +298,8 @@ pub fn fit_hinge_monotone(
     fit_hinge_monotone_with(xs, ys, weights, breakpoints, lo, hi, &mut HingeScratch::new())
 }
 
-/// [`fit_hinge_monotone`] using caller-provided scratch buffers.
+/// [`fit_hinge_monotone`] using caller-provided scratch buffers. The
+/// points may be in any order.
 pub fn fit_hinge_monotone_with(
     xs: &[f64],
     ys: &[f64],
@@ -248,36 +311,23 @@ pub fn fit_hinge_monotone_with(
 ) -> Result<HingeFit, FitError> {
     assert_eq!(xs.len(), ys.len());
     validate_breakpoints(breakpoints, lo, hi)?;
-    let k = breakpoints.len();
-    let p = k + 2;
+    let p = breakpoints.len() + 2;
     if xs.len() < p {
         return Err(FitError::TooFewPoints { n: xs.len(), p });
     }
-    slope_design_into(xs, breakpoints, lo, hi, false, &mut scratch.edges, &mut scratch.base);
-    // Columns: [+1, −1, slopes…]; apply sqrt-weights to rows for WLS-as-OLS.
-    let n = xs.len();
-    let base = &scratch.base;
-    let design = &mut scratch.design;
-    design.reshape_zeroed(n, p + 1);
-    let b = &mut scratch.b;
-    b.clear();
-    b.resize(n, 0.0);
-    for i in 0..n {
-        let sw = weights.map_or(1.0, |w| w[i].max(0.0)).sqrt();
-        let row = design.row_mut(i);
-        row[0] = sw;
-        row[1] = -sw;
-        for j in 0..=k {
-            row[2 + j] = sw * base[(i, j)];
-        }
-        b[i] = sw * ys[i];
-    }
-    let sol = nnls_into(&scratch.design, &scratch.b, 50 * (p + 1), &mut scratch.nnls)?;
+    scratch.bucket(xs, ys, weights, breakpoints, lo, hi);
+    scratch.normal_equations(true);
+    let sol = nnls_gram_into(&scratch.gram, &scratch.rhs, 50 * (p + 1), &mut scratch.nnls)?;
     let intercept = sol[0] - sol[1];
     let slopes = sol[2..].to_vec();
-    finish(xs, ys, weights, breakpoints, lo, hi, intercept, slopes, &mut scratch.pred)
+    finish(xs, ys, weights, breakpoints, lo, hi, intercept, slopes, scratch)
 }
 
+/// The exact residual pass: evaluates the fitted model at every point and
+/// sums the weighted squared residuals. The value at x is the knot value
+/// `intercept + Σ_{j<s} s_j·W_j` of its segment plus `s_s·(x − e_s)`, summed
+/// in the same order as [`HingeFit::predict`], so it matches `predict`
+/// bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn finish(
     xs: &[f64],
@@ -288,20 +338,23 @@ fn finish(
     hi: f64,
     intercept: f64,
     slopes: Vec<f64>,
-    pred: &mut Vec<f64>,
+    scratch: &mut HingeScratch,
 ) -> Result<HingeFit, FitError> {
-    let fit = HingeFit {
-        lo,
-        hi,
-        breakpoints: breakpoints.to_vec(),
-        intercept,
-        slopes,
-        sse: 0.0,
-        r2: 0.0,
-        n: xs.len(),
-    };
+    let edges = &scratch.edges;
+    let mut knots = Vec::with_capacity(slopes.len());
+    let mut y0 = intercept;
+    for (j, &s) in slopes.iter().enumerate() {
+        knots.push(y0);
+        if j + 1 < slopes.len() {
+            y0 += s * (edges[j + 1] - edges[j]);
+        }
+    }
+    let pred = &mut scratch.pred;
     pred.clear();
-    pred.extend(xs.iter().map(|&x| fit.predict(x)));
+    pred.extend(xs.iter().map(|&x| {
+        let s = breakpoints.partition_point(|&b| b <= x);
+        knots[s] + slopes[s] * (x - edges[s])
+    }));
     let sse = pred
         .iter()
         .zip(ys)
@@ -312,7 +365,16 @@ fn finish(
         })
         .sum();
     let r2 = r_squared(pred, ys);
-    Ok(HingeFit { sse, r2, ..fit })
+    Ok(HingeFit {
+        lo,
+        hi,
+        breakpoints: breakpoints.to_vec(),
+        intercept,
+        slopes,
+        sse,
+        r2,
+        n: xs.len(),
+    })
 }
 
 #[cfg(test)]

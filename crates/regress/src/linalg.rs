@@ -3,6 +3,14 @@
 //!
 //! Row-major [`Mat`] with Cholesky and partially-pivoted LU solvers, plus a
 //! Lawson–Hanson non-negative least squares used by the monotone PWLR fit.
+//!
+//! The PWLR fit path never hands these solvers a design matrix. The Muggeo
+//! refinement ([`crate::breakpoints`]) and the hinge fits ([`crate::hinge`])
+//! assemble their `p × p` Gram matrix and right-hand side from sums over
+//! the data and call [`solve_spd_into`] or [`nnls_gram_into`] directly, so
+//! a solve costs O(p³) whatever the number of points. The row-level entry
+//! points ([`wls`], [`nnls`]) form `XᵀWX` row by row for callers that do
+//! hold a design matrix: OLS, tests and the row-wise reference fits.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -90,36 +98,21 @@ impl Mat {
 
     /// `selfᵀ · v` for a vector `v` of length `rows`.
     pub fn tmul_vec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.tmul_vec_into(v, &mut out);
-        out
-    }
-
-    /// [`Mat::tmul_vec`] writing into a reusable buffer.
-    pub fn tmul_vec_into(&self, v: &[f64], out: &mut Vec<f64>) {
         assert_eq!(v.len(), self.rows);
-        out.clear();
-        out.resize(self.cols, 0.0);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let vi = v[i];
-            for (o, &r) in out.iter_mut().zip(row) {
+        let mut out = vec![0.0; self.cols];
+        for (i, &vi) in v.iter().enumerate() {
+            for (o, &r) in out.iter_mut().zip(self.row(i)) {
                 *o += r * vi;
             }
         }
+        out
     }
 
-    /// Gram matrix `selfᵀ · diag(w) · self` (`w = None` means unit weights).
+    /// Gram matrix `selfᵀ · diag(w) · self` (`w = None` means unit weights),
+    /// formed row by row.
     pub fn gram(&self, w: Option<&[f64]>) -> Mat {
-        let mut g = Mat::zeros(0, 0);
-        self.gram_into(w, &mut g);
-        g
-    }
-
-    /// [`Mat::gram`] writing into a reusable matrix.
-    pub fn gram_into(&self, w: Option<&[f64]>, g: &mut Mat) {
         let p = self.cols;
-        g.reshape_zeroed(p, p);
+        let mut g = Mat::zeros(p, p);
         for i in 0..self.rows {
             let row = self.row(i);
             let wi = w.map_or(1.0, |w| w[i]);
@@ -139,6 +132,7 @@ impl Mat {
                 g[(a, b)] = g[(b, a)];
             }
         }
+        g
     }
 }
 
@@ -203,23 +197,6 @@ impl SpdScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> SpdScratch {
         SpdScratch::default()
-    }
-}
-
-/// Reusable buffers for the least-squares solvers. One instance per thread
-/// (or per caller) makes the Muggeo/hinge hot path allocation-free.
-#[derive(Default)]
-pub struct LsScratch {
-    gram: Mat,
-    rhs: Vec<f64>,
-    wy: Vec<f64>,
-    spd: SpdScratch,
-}
-
-impl LsScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> LsScratch {
-        LsScratch::default()
     }
 }
 
@@ -483,45 +460,24 @@ pub fn solve_lu(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// Weighted least squares `min ||W^{1/2}(X β − y)||²` via the normal
 /// equations; `w = None` means unit weights.
 pub fn wls(x: &Mat, y: &[f64], w: Option<&[f64]>) -> Result<Vec<f64>, LinalgError> {
-    let mut s = LsScratch::new();
-    wls_into(x, y, w, &mut s).map(|b| b.to_vec())
-}
-
-/// [`wls`] using caller-provided scratch; the coefficient vector borrows
-/// from the scratch and stays valid until its next use.
-pub fn wls_into<'s>(
-    x: &Mat,
-    y: &[f64],
-    w: Option<&[f64]>,
-    s: &'s mut LsScratch,
-) -> Result<&'s [f64], LinalgError> {
-    if y.len() != x.rows() {
+    if y.len() != x.rows() || w.is_some_and(|w| w.len() != x.rows()) {
         return Err(LinalgError::DimensionMismatch);
     }
-    if let Some(w) = w {
-        if w.len() != x.rows() {
-            return Err(LinalgError::DimensionMismatch);
-        }
-    }
-    match w {
+    let rhs = match w {
         Some(w) => {
-            s.wy.clear();
-            s.wy.extend(y.iter().zip(w).map(|(a, b)| a * b));
-            x.tmul_vec_into(&s.wy, &mut s.rhs);
+            let wy: Vec<f64> = y.iter().zip(w).map(|(a, b)| a * b).collect();
+            x.tmul_vec(&wy)
         }
-        None => x.tmul_vec_into(y, &mut s.rhs),
-    }
-    x.gram_into(w, &mut s.gram);
-    solve_spd_into(&s.gram, &s.rhs, &mut s.spd)
+        None => x.tmul_vec(y),
+    };
+    solve_spd(&x.gram(w), &rhs)
 }
 
-/// Reusable buffers for [`nnls_into`].
+/// Reusable buffers for [`nnls_gram_into`].
 #[derive(Default)]
 pub struct NnlsScratch {
     x: Vec<f64>,
     passive: Vec<bool>,
-    atb: Vec<f64>,
-    gram: Mat,
     idx: Vec<usize>,
     sub_gram: Mat,
     sub_rhs: Vec<f64>,
@@ -576,38 +532,45 @@ fn nnls_solve_passive(
 /// Non-negative least squares `min ||A x − b||² s.t. x ≥ 0` by the
 /// Lawson–Hanson active-set algorithm.
 ///
-/// Used by the monotone PWLR fit: slopes of an accumulating counter profile
-/// cannot be negative.
+/// A thin wrapper that forms `AᵀA` and `Aᵀb` row by row and hands them to
+/// [`nnls_gram_into`], the one NNLS solver.
 pub fn nnls(a: &Mat, b: &[f64], max_iter: usize) -> Result<Vec<f64>, LinalgError> {
+    if b.len() != a.rows() {
+        return Err(LinalgError::DimensionMismatch);
+    }
     let mut s = NnlsScratch::new();
-    nnls_into(a, b, max_iter, &mut s).map(|x| x.to_vec())
+    nnls_gram_into(&a.gram(None), &a.tmul_vec(b), max_iter, &mut s).map(|x| x.to_vec())
 }
 
-/// [`nnls`] using caller-provided scratch; the solution borrows from the
-/// scratch and stays valid until its next use.
-pub fn nnls_into<'s>(
-    a: &Mat,
-    b: &[f64],
+/// Lawson–Hanson NNLS on the normal equations: minimises
+/// `½xᵀGx − cᵀx` over `x ≥ 0`, which is `||A x − b||²` up to a constant
+/// when `G = AᵀA` and `c = Aᵀb`. Only `G` and `c` are read, so a caller
+/// that can form them from sums never builds `A`.
+///
+/// Used by the monotone PWLR fit: slopes of an accumulating counter profile
+/// cannot be negative. The solution borrows from the scratch and stays
+/// valid until its next use.
+pub fn nnls_gram_into<'s>(
+    gram: &Mat,
+    atb: &[f64],
     max_iter: usize,
     s: &'s mut NnlsScratch,
 ) -> Result<&'s [f64], LinalgError> {
-    let (m, n) = (a.rows(), a.cols());
-    if b.len() != m {
+    let n = atb.len();
+    if gram.rows() != n || gram.cols() != n {
         return Err(LinalgError::DimensionMismatch);
     }
     s.x.clear();
     s.x.resize(n, 0.0);
     s.passive.clear();
     s.passive.resize(n, false);
-    a.tmul_vec_into(b, &mut s.atb);
-    a.gram_into(None, &mut s.gram);
-    let tol = 1e-10 * s.atb.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
+    let tol = 1e-10 * atb.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
 
     for _outer in 0..max_iter {
         // Gradient of ½||Ax−b||² is Aᵀ(Ax−b); w = −gradient.
-        s.gram.mul_vec_into(&s.x, &mut s.gx);
+        gram.mul_vec_into(&s.x, &mut s.gx);
         s.grad.clear();
-        s.grad.extend(s.atb.iter().zip(&s.gx).map(|(t, g)| t - g));
+        s.grad.extend(atb.iter().zip(&s.gx).map(|(t, g)| t - g));
         // Most-violating inactive variable. `total_cmp` keeps the selection
         // total even when a non-finite design matrix poisons the gradient
         // (`partial_cmp(..).unwrap()` would panic on NaN); a NaN "winner"
@@ -624,8 +587,8 @@ pub fn nnls_into<'s>(
 
         loop {
             nnls_solve_passive(
-                &s.gram,
-                &s.atb,
+                gram,
+                atb,
                 &s.passive,
                 &mut s.idx,
                 &mut s.sub_gram,

@@ -13,11 +13,17 @@
 //!    counters ([`crate::hinge`]),
 //! 5. keep the segment count minimising the selection criterion
 //!    ([`crate::model_select`]).
+//!
+//! The points are sorted by x once, and their suffix sums
+//! ([`crate::breakpoints::ProfileSums`]) are built once per profile; every
+//! Muggeo iteration of every candidate reads those sums, so only the sort,
+//! the binning, the sums and one bucketing plus one residual pass per
+//! candidate fit touch all n points.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::breakpoints::{enforce_separation, refine_breakpoints_with, RefineConfig, RefineScratch};
+use crate::breakpoints::{
+    enforce_separation, refine_breakpoints_with, sort_by_x, ProfileSums, RefineConfig,
+    RefineScratch,
+};
 use crate::grid::bin_series;
 use crate::hinge::{fit_hinge_monotone_with, fit_hinge_with, FitError, HingeFit, HingeScratch};
 use crate::model_select::{score, SelectionCriterion};
@@ -49,12 +55,6 @@ pub struct PwlrConfig {
     pub refine: RefineConfig,
     /// Domain of the profile (`[0, 1]` for folded profiles).
     pub domain: (f64, f64),
-    /// Upper bound on threads used to refine + fit the per-`m` candidates
-    /// concurrently. `<= 1` keeps everything on the calling thread. The
-    /// result is bit-identical either way: candidate preparation is
-    /// deterministic per `m`, and model selection replays sequentially in
-    /// ascending-`m` order.
-    pub candidate_threads: usize,
 }
 
 impl Default for PwlrConfig {
@@ -70,7 +70,6 @@ impl Default for PwlrConfig {
             margin_abs: 10.0,
             refine: RefineConfig::default(),
             domain: (0.0, 1.0),
-            candidate_threads: 1,
         }
     }
 }
@@ -157,12 +156,9 @@ pub fn fit_pwlr(
     assert!(hi > lo, "empty domain");
     let min_sep = config.min_separation_fraction * (hi - lo);
 
-    // Sort a copy by x once; every stage wants ordered data.
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-    let sx: Vec<f64> = order.iter().map(|&i| xs[i]).collect();
-    let sy: Vec<f64> = order.iter().map(|&i| ys[i]).collect();
-    let sw: Option<Vec<f64>> = weights.map(|w| order.iter().map(|&i| w[i]).collect());
+    // Sort a copy by x once; binning and the Muggeo sums want ordered data.
+    let (sx, sy, sw) = sort_by_x(xs, ys, weights);
+    let sums = ProfileSums::from_sorted(&sx, &sy, sw.as_deref(), lo, hi);
 
     let binned = bin_series(&sx, &sy, sw.as_deref(), config.grid_bins.max(2), lo, hi);
     let proposals = if binned.len() >= 2 {
@@ -188,24 +184,25 @@ pub fn fit_pwlr(
             .map(|p| p.breakpoints.as_slice()),
     );
 
-    // Refine + fit every candidate. The per-candidate work (Muggeo
-    // iterations + hinge fit) is independent, so it can fan out across
-    // threads; each worker carries its own scratch buffers.
-    let ctx = CandidateCtx { sx: &sx, sy: &sy, sw: sw.as_deref(), lo, hi, min_sep, config };
-    let threads = config.candidate_threads.clamp(1, inputs.len().max(1));
-    let prepared: Vec<Option<(Vec<f64>, HingeFit)>> = if threads > 1 {
-        prepare_parallel(&ctx, &inputs, threads)
-    } else {
-        let mut scratch = CandidateScratch::default();
-        inputs.iter().map(|bps| prepare_candidate(&ctx, bps, &mut scratch)).collect()
+    // Refine + fit every candidate, then select in ascending-m order (the
+    // incumbent/margin semantics depend on that order).
+    let ctx = CandidateCtx {
+        sx: &sx,
+        sy: &sy,
+        sw: sw.as_deref(),
+        sums: &sums,
+        lo,
+        hi,
+        min_sep,
+        config,
     };
-
-    // Model selection replays sequentially in ascending-m order, so the
-    // incumbent/margin semantics (and hence the result) do not depend on
-    // the number of threads used above.
+    let mut scratch = CandidateScratch::default();
     let mut candidates = Vec::new();
     let mut best: Option<(f64, HingeFit)> = None;
-    for (bps, fit) in prepared.into_iter().flatten() {
+    for proposal in &inputs {
+        let Some((bps, fit)) = prepare_candidate(&ctx, proposal, &mut scratch) else {
+            continue;
+        };
         let s = score(config.criterion, fit.n, fit.sse, bps.len());
         candidates.push(Candidate {
             num_segments: bps.len() + 1,
@@ -236,7 +233,6 @@ pub fn fit_pwlr(
         Some((s, fit)) => Ok(PwlrFit { fit, score: s, candidates }),
         None => {
             // Even m=1 failed: surface that error.
-            let mut scratch = CandidateScratch::default();
             do_fit(&ctx, &[], &mut scratch.hinge).map(|fit| {
                 let s = score(config.criterion, fit.n, fit.sse, 0);
                 PwlrFit {
@@ -254,13 +250,15 @@ struct CandidateCtx<'a> {
     sx: &'a [f64],
     sy: &'a [f64],
     sw: Option<&'a [f64]>,
+    sums: &'a ProfileSums<'a>,
     lo: f64,
     hi: f64,
     min_sep: f64,
     config: &'a PwlrConfig,
 }
 
-/// Per-worker scratch: one hinge-fit buffer set + one Muggeo buffer set.
+/// Scratch reused across candidates: one hinge-fit buffer set + one Muggeo
+/// buffer set.
 #[derive(Default)]
 struct CandidateScratch {
     hinge: HingeScratch,
@@ -295,9 +293,7 @@ fn prepare_candidate(
         let mut refine_cfg = ctx.config.refine;
         refine_cfg.min_separation = refine_cfg.min_separation.max(ctx.min_sep);
         let refined = refine_breakpoints_with(
-            ctx.sx,
-            ctx.sy,
-            ctx.sw,
+            ctx.sums,
             proposal,
             ctx.lo,
             ctx.hi,
@@ -325,36 +321,6 @@ fn prepare_candidate(
     };
     let fit = do_fit(ctx, &bps, &mut scratch.hinge).ok()?;
     Some((bps, fit))
-}
-
-/// Fans [`prepare_candidate`] out over `threads` scoped workers pulling
-/// indices from a shared counter. Slot `i` of the result corresponds to
-/// `inputs[i]`, so downstream selection order is unaffected.
-fn prepare_parallel(
-    ctx: &CandidateCtx<'_>,
-    inputs: &[&[f64]],
-    threads: usize,
-) -> Vec<Option<(Vec<f64>, HingeFit)>> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(Vec<f64>, HingeFit)>>> =
-        inputs.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut scratch = CandidateScratch::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= inputs.len() {
-                        break;
-                    }
-                    let prepared = prepare_candidate(ctx, inputs[i], &mut scratch);
-                    *slots[i].lock().unwrap() = prepared;
-                }
-            });
-        }
-    })
-    .expect("candidate worker panicked");
-    slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
 }
 
 #[cfg(test)]
@@ -477,33 +443,6 @@ mod tests {
     fn too_few_points_fails_gracefully() {
         let r = fit_pwlr(&[0.5], &[0.5], None, &PwlrConfig::default());
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn parallel_candidates_match_sequential_exactly() {
-        let xs = grid(900);
-        let truth = |x: f64| {
-            if x < 0.3 {
-                2.2 * x
-            } else if x < 0.6 {
-                0.66 + 0.4 * (x - 0.3)
-            } else {
-                0.78 + 1.7 * (x - 0.6)
-            }
-        };
-        let ys: Vec<f64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| truth(x) + 0.008 * noise(i))
-            .collect();
-        let seq = fit_pwlr(&xs, &ys, None, &PwlrConfig::default()).unwrap();
-        let par_cfg = PwlrConfig { candidate_threads: 4, ..PwlrConfig::default() };
-        let par = fit_pwlr(&xs, &ys, None, &par_cfg).unwrap();
-        assert_eq!(seq.score.to_bits(), par.score.to_bits());
-        assert_eq!(seq.fit.sse.to_bits(), par.fit.sse.to_bits());
-        assert_eq!(seq.fit.breakpoints, par.fit.breakpoints);
-        assert_eq!(seq.fit.slopes, par.fit.slopes);
-        assert_eq!(seq.candidates, par.candidates);
     }
 
     #[test]

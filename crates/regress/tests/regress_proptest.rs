@@ -2,13 +2,15 @@
 
 use proptest::prelude::*;
 
-use phasefold_regress::breakpoints::enforce_separation;
+use phasefold_regress::breakpoints::{enforce_separation, refine_breakpoints, RefineConfig};
 use phasefold_regress::grid::bin_series;
 use phasefold_regress::hinge::{fit_hinge, fit_hinge_monotone};
 use phasefold_regress::linalg::{nnls, Mat};
 use phasefold_regress::pwlr::{fit_pwlr, PwlrConfig};
 use phasefold_regress::segdp::{segment_dp, segment_dp_quadratic, Segmentation};
 use phasefold_regress::stats::{mad, median, quantile, Moments};
+use phasefold_verify::differential::{compare_breakpoints, compare_hinge, MUGGEO_PSI_ATOL};
+use phasefold_verify::reference::{rowwise_hinge, rowwise_muggeo};
 
 fn dense_grid(n: usize) -> Vec<f64> {
     (0..n).map(|i| i as f64 / (n - 1) as f64).collect()
@@ -66,6 +68,203 @@ fn eval_pwl(bps: &[f64], params: &[f64], x: f64) -> f64 {
         }
     }
     y
+}
+
+/// Continuous PWL truth on `[0, 1]` with strong kinks: slopes alternate
+/// steep (2.5) and flat (0.3), so every Muggeo system is well posed.
+fn kinked(bps: &[f64], x: f64) -> f64 {
+    let mut y = 0.0;
+    let mut e = 0.0;
+    for j in 0..=bps.len() {
+        let end = bps.get(j).copied().unwrap_or(f64::INFINITY);
+        let s = if j % 2 == 0 { 2.5 } else { 0.3 };
+        y += s * (x.min(end) - e).max(0.0);
+        e = end;
+        if x <= end {
+            break;
+        }
+    }
+    y
+}
+
+/// 1–3 breakpoints spread over `(0, 1)`, at least 0.15 apart.
+fn arb_breaks() -> impl Strategy<Value = Vec<f64>> {
+    (1usize..4, 0.0f64..1.0).prop_map(|(k, jitter)| {
+        (1..=k).map(|j| j as f64 / (k + 1) as f64 + (jitter - 0.5) * 0.1).collect()
+    })
+}
+
+/// Deterministic noise in `[-amp, amp]`.
+fn noisy(ys: &mut [f64], amp: f64) {
+    for (i, y) in ys.iter_mut().enumerate() {
+        *y += amp * ((((i as u64).wrapping_mul(2654435761) % 1000) as f64 / 500.0) - 1.0);
+    }
+}
+
+fn refine_cfg(max_iters: usize) -> RefineConfig {
+    RefineConfig { max_iters, min_separation: 0.02, ..RefineConfig::default() }
+}
+
+/// The sums path must agree with the row-wise oracle on this scatter: one
+/// Muggeo step and the full refinement from `proposal`, and the free and
+/// monotone hinge fits at `bps`, at the tolerances the verify checks state.
+fn agrees_with_rowwise(
+    xs: &[f64],
+    ys: &[f64],
+    w: Option<&[f64]>,
+    proposal: &[f64],
+    bps: &[f64],
+) {
+    for iters in [1, 12] {
+        let cfg = refine_cfg(iters);
+        let fast = refine_breakpoints(xs, ys, w, proposal, 0.0, 1.0, &cfg);
+        let slow = rowwise_muggeo(xs, ys, w, proposal, 0.0, 1.0, &cfg);
+        let gap = compare_breakpoints(&fast, &slow, MUGGEO_PSI_ATOL);
+        assert!(gap.is_none(), "muggeo, {iters} iteration(s): {gap:?}");
+    }
+    hinge_agrees(xs, ys, w, bps);
+}
+
+/// The free and monotone hinge fits at `bps` agree with the row-wise ones.
+fn hinge_agrees(xs: &[f64], ys: &[f64], w: Option<&[f64]>, bps: &[f64]) {
+    let scale = 1.0 + (0..xs.len()).map(|i| w.map_or(1.0, |w| w[i]) * ys[i] * ys[i]).sum::<f64>();
+    for monotone in [false, true] {
+        let fast = if monotone {
+            fit_hinge_monotone(xs, ys, w, bps, 0.0, 1.0)
+        } else {
+            fit_hinge(xs, ys, w, bps, 0.0, 1.0)
+        };
+        let slow = rowwise_hinge(xs, ys, w, bps, 0.0, 1.0, monotone);
+        let (Ok(fast), Some(slow)) = (fast, slow) else {
+            panic!("monotone={monotone}: a fit failed");
+        };
+        let gap = compare_hinge(&fast, &slow, xs, ys, scale);
+        assert!(gap.is_none(), "hinge monotone={monotone}: {gap:?}");
+    }
+}
+
+proptest! {
+    // Sums path vs row-wise oracle: each case costs well under a
+    // millisecond, so these run more cases than the block below.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Points exactly at a breakpoint, and many duplicate x: x lies on a
+    /// 1/40 grid and the breakpoints (and proposals) are grid values, so
+    /// the strict `x > ψ` convention decides where the tied points fall.
+    #[test]
+    fn sums_match_rowwise_on_ties_and_duplicates(
+        ticks in proptest::collection::vec(0u32..41, 80..240),
+        k in 1usize..4,
+        amp in 0.0f64..0.01,
+    ) {
+        let bps: Vec<f64> = (1..=k).map(|j| (40 * j / (k + 1)) as f64 / 40.0).collect();
+        let mut xs: Vec<f64> = ticks.iter().map(|&t| f64::from(t) / 40.0).collect();
+        xs.extend(bps.iter().chain(&bps));
+        let mut ys: Vec<f64> = xs.iter().map(|&x| kinked(&bps, x)).collect();
+        noisy(&mut ys, amp);
+        agrees_with_rowwise(&xs, &ys, None, &bps, &bps);
+    }
+
+    /// Every point at or left of the top breakpoint (some exactly on it):
+    /// its hinge and indicator columns are exactly zero on both paths.
+    #[test]
+    fn sums_match_rowwise_with_an_empty_right_side(
+        bps in arb_breaks(),
+        n in 60usize..240,
+        amp in 0.0f64..0.01,
+    ) {
+        let top = *bps.last().unwrap();
+        // `min` keeps rounding from putting the last point one ulp right of
+        // `top`, which would make the top hinge hang on a single point.
+        let mut xs: Vec<f64> = (0..n).map(|i| (top * i as f64 / (n - 1) as f64).min(top)).collect();
+        xs.extend([top; 3]);
+        let mut ys: Vec<f64> = xs.iter().map(|&x| kinked(&bps, x)).collect();
+        noisy(&mut ys, amp);
+        agrees_with_rowwise(&xs, &ys, None, &bps, &bps);
+    }
+
+    /// Every point right of the lowest breakpoint: its indicator column is
+    /// the negated intercept, so the Muggeo system is exactly singular and
+    /// each path regularises its own rounding; only the output invariants
+    /// can be required of it. The hinge fit stays well defined in its
+    /// fitted values.
+    #[test]
+    fn empty_left_side_keeps_invariants(
+        bps in arb_breaks(),
+        n in 60usize..240,
+        amp in 0.0f64..0.01,
+    ) {
+        let low = bps[0];
+        let xs: Vec<f64> = (1..=n).map(|i| low + (1.0 - low) * i as f64 / n as f64).collect();
+        let mut ys: Vec<f64> = xs.iter().map(|&x| kinked(&bps, x)).collect();
+        noisy(&mut ys, amp);
+        let refined = refine_breakpoints(&xs, &ys, None, &bps, 0.0, 1.0, &refine_cfg(12));
+        prop_assert!(refined.len() <= bps.len());
+        prop_assert!(refined.iter().all(|&p| p.is_finite() && p > 0.0 && p < 1.0));
+        prop_assert!(refined.windows(2).all(|w| w[1] - w[0] >= 0.02));
+        hinge_agrees(&xs, &ys, None, &bps);
+    }
+
+    /// Points within 1e-9 of `lo` and `hi`, and points outside the domain,
+    /// where the edge segments extrapolate.
+    #[test]
+    fn sums_match_rowwise_at_and_beyond_the_edges(
+        bps in arb_breaks(),
+        n in 60usize..240,
+        outside in proptest::collection::vec(-0.1f64..0.1, 0..12),
+        amp in 0.0f64..0.01,
+    ) {
+        let mut xs: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
+        xs.extend([0.0, 1e-9, -1e-9, 1.0, 1.0 - 1e-9, 1.0 + 1e-9]);
+        xs.extend(outside.iter().map(|&d| if d < 0.0 { d } else { 1.0 + d }));
+        // Left of the domain the first (steep) segment extrapolates.
+        let mut ys: Vec<f64> =
+            xs.iter().map(|&x| kinked(&bps, x.max(0.0)) + 2.5 * x.min(0.0)).collect();
+        noisy(&mut ys, amp);
+        let proposal: Vec<f64> = bps.iter().map(|b| b + 0.01).collect();
+        agrees_with_rowwise(&xs, &ys, None, &proposal, &bps);
+    }
+
+    /// Per-point weights spanning two and a half decades.
+    #[test]
+    fn sums_match_rowwise_weighted(
+        bps in arb_breaks(),
+        ws in proptest::collection::vec(0.01f64..5.0, 60..240),
+        shift in -0.02f64..0.02,
+        amp in 0.0f64..0.01,
+    ) {
+        let n = ws.len();
+        let xs: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
+        let mut ys: Vec<f64> = xs.iter().map(|&x| kinked(&bps, x)).collect();
+        noisy(&mut ys, amp);
+        let proposal: Vec<f64> = bps.iter().map(|b| b + shift).collect();
+        agrees_with_rowwise(&xs, &ys, Some(&ws), &proposal, &bps);
+    }
+
+    /// `refine_breakpoints` sorts its input: a shuffled scatter refines to
+    /// exactly the breakpoints of the sorted one, which agree with the
+    /// row-wise oracle.
+    #[test]
+    fn refine_breakpoints_sorts_unsorted_input(
+        bps in arb_breaks(),
+        keys in proptest::collection::vec(0.0f64..1.0, 150..151),
+        shift in -0.02f64..0.02,
+    ) {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+        let n = order.len();
+        let sorted_x: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
+        let mut sorted_y: Vec<f64> = sorted_x.iter().map(|&x| kinked(&bps, x)).collect();
+        noisy(&mut sorted_y, 0.004);
+        let xs: Vec<f64> = order.iter().map(|&i| sorted_x[i]).collect();
+        let ys: Vec<f64> = order.iter().map(|&i| sorted_y[i]).collect();
+        let proposal: Vec<f64> = bps.iter().map(|b| b + shift).collect();
+        let cfg = refine_cfg(12);
+        let shuffled = refine_breakpoints(&xs, &ys, None, &proposal, 0.0, 1.0, &cfg);
+        let sorted = refine_breakpoints(&sorted_x, &sorted_y, None, &proposal, 0.0, 1.0, &cfg);
+        prop_assert_eq!(&shuffled, &sorted);
+        agrees_with_rowwise(&xs, &ys, None, &proposal, &bps);
+    }
 }
 
 proptest! {

@@ -7,6 +7,8 @@
 //! | segdp-exhaustive | SSE per segment count within `1e-6` relative (prefix sums vs direct moments round differently); returned breakpoints must describe a feasible partition whose direct SSE matches the reported one |
 //! | dbscan-brute     | exact: cluster count and every label — components numbered by lowest-index core point, each border point owned by the lowest-numbered adjacent component, noise where no core point is within ε |
 //! | fold-naive       | bit-exact on every folded point and mean; the two sides evaluate the same formula in the same order |
+//! | muggeo-rowwise   | same number of refined breakpoints, each within `MUGGEO_PSI_ATOL·(hi−lo)` of the row-wise refinement (suffix sums vs row-wise Gram round differently; the update map is a contraction where Muggeo converges) |
+//! | hinge-rowwise    | fitted values at every point within `HINGE_FIT_RTOL·(1 + max|y|)` and SSE within `HINGE_SSE_RTOL·(1 + Σw·y²)` of the row-wise fit, free and monotone (NNLS) alike |
 
 use crate::generate::Case;
 use crate::reference;
@@ -14,6 +16,8 @@ use crate::Divergence;
 use phasefold_cluster::{cluster_bursts, dbscan, DbscanParams};
 use phasefold_folding::fold_trace;
 use phasefold_model::{burst::extract_bursts_checked, fault::FaultReport};
+use phasefold_regress::breakpoints::{refine_breakpoints, RefineConfig};
+use phasefold_regress::hinge::{fit_hinge, fit_hinge_monotone};
 use phasefold_regress::segdp::segment_dp;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -136,6 +140,227 @@ pub fn compare_segdp(
                 row.sse, partition_sse
             ));
         }
+    }
+    None
+}
+
+/// Absolute breakpoint tolerance of the Muggeo comparison, as a fraction
+/// of the domain width. Both sides solve the same `(2+2k)²` system and
+/// differ only in how its entries are rounded: compensated suffix sums of
+/// centred x against a row-by-row accumulation of raw x. On the folded
+/// domain `[0, 1]` the refined breakpoints agreed within 1e-11 on 60 000
+/// generated cases. On offset domains (|lo| up to 50) the row-wise side's
+/// uncentred `[1, x]` block is ill-conditioned and the gap grew to ~1e-8.
+/// 1e-7 keeps an order of margin over that and sits two orders below the
+/// convergence tolerance (1e-5), so a mis-assembled entry, which moves ψ by
+/// a whole Newton-like step, cannot hide under it.
+pub const MUGGEO_PSI_ATOL: f64 = 1e-7;
+
+/// Tolerance on the hinge fitted values at the data points, relative to
+/// `1 + max|y|`. The fitted values are compared rather than the
+/// coefficients because they are unique even where a segment holds no
+/// point and its slope is not identifiable. The per-segment-sum Gram and
+/// the row-wise Gram hold the same sums added in a different order; on
+/// 60 000 generated cases the fitted values agreed within 1e-11, so 1e-8
+/// leaves three orders of margin. A wrongly assembled entry moves the fit
+/// by O(1).
+pub const HINGE_FIT_RTOL: f64 = 1e-8;
+
+/// Tolerance on the hinge SSE, relative to `1 + Σw·y²`. The SSE is
+/// stationary at the optimum, so it agrees far tighter than the fit.
+pub const HINGE_SSE_RTOL: f64 = 1e-9;
+
+/// A random sorted breakpoint set inside `[lo, hi]`, separated by at least
+/// a tenth of the domain from each other and from the edges.
+fn separated_breakpoints(rng: &mut StdRng, lo: f64, hi: f64, k: usize) -> Vec<f64> {
+    let span = hi - lo;
+    let mut psi: Vec<f64> = Vec::with_capacity(k);
+    for _ in 0..k {
+        for _ in 0..32 {
+            let p = lo + span * rng.gen_range(0.1f64..0.9);
+            if psi.iter().all(|&q| (p - q).abs() >= 0.1 * span) {
+                psi.push(p);
+                break;
+            }
+        }
+    }
+    psi.sort_by(f64::total_cmp);
+    psi
+}
+
+/// A noisy continuous PWL scatter over `[lo, hi]` with breaks at `truth`:
+/// unsorted x, a few points slightly outside the domain, a few exact
+/// duplicates, one point exactly at each of `ties` (where the strict
+/// `x > ψ` convention decides its side), and optional weights.
+fn pwl_scatter(
+    rng: &mut StdRng,
+    lo: f64,
+    hi: f64,
+    truth: &[f64],
+    ties: &[f64],
+    n: usize,
+) -> (Vec<f64>, Vec<f64>, Option<Vec<f64>>) {
+    let span = hi - lo;
+    let slopes: Vec<f64> = (0..=truth.len())
+        .map(|j| if j % 2 == 0 { rng.gen_range(1.5f64..3.0) } else { rng.gen_range(0.0f64..0.5) })
+        .collect();
+    let model = |x: f64| {
+        let mut y = 0.0;
+        let mut e = lo;
+        for (j, &s) in slopes.iter().enumerate() {
+            let end = truth.get(j).copied().unwrap_or(f64::INFINITY);
+            y += s * (x.min(end) - e).max(0.0);
+            e = end;
+        }
+        y
+    };
+    let noise = rng.gen_range(0.0f64..0.01) * span;
+    let mut xs: Vec<f64> = (0..n).map(|_| lo + span * rng.gen_range(-0.02f64..1.02)).collect();
+    for i in 0..n / 10 {
+        xs[i] = xs[n - 1 - i]; // exact duplicates
+    }
+    for (x, &t) in xs[n / 2..].iter_mut().zip(ties) {
+        *x = t;
+    }
+    let ys: Vec<f64> = xs.iter().map(|&x| model(x) + noise * rng.gen_range(-1.0f64..1.0)).collect();
+    let weights = rng.gen_bool(0.5).then(|| (0..n).map(|_| rng.gen_range(0.1f64..2.0)).collect());
+    (xs, ys, weights)
+}
+
+/// A random domain: the folded `[0, 1]` half of the time, else an offset
+/// one, which exercises the centring of the Muggeo sums.
+fn random_domain(rng: &mut StdRng) -> (f64, f64) {
+    if rng.gen_bool(0.5) {
+        (0.0, 1.0)
+    } else {
+        let lo = rng.gen_range(-50.0f64..50.0);
+        (lo, lo + rng.gen_range(0.5f64..20.0))
+    }
+}
+
+/// Differential check: `regress::breakpoints::refine_breakpoints` (suffix
+/// sums) against the row-wise Muggeo iteration, on a noisy PWL scatter
+/// with proposals perturbed off the true breaks.
+pub fn check_muggeo(rng: &mut StdRng, seed: u64) -> Option<Divergence> {
+    let (lo, hi) = random_domain(rng);
+    let k = rng.gen_range(1usize..4);
+    let truth = separated_breakpoints(rng, lo, hi, k);
+    let n = rng.gen_range(100usize..400);
+    let span = hi - lo;
+    let proposal: Vec<f64> =
+        truth.iter().map(|&p| p + span * rng.gen_range(-0.02f64..0.02)).collect();
+    let (xs, ys, weights) = pwl_scatter(rng, lo, hi, &truth, &proposal, n);
+    let config = RefineConfig {
+        min_separation: 0.02 * span,
+        max_step: 0.15 * span,
+        tol: 1e-5 * span,
+        ..RefineConfig::default()
+    };
+    let w = weights.as_deref();
+    let fast = refine_breakpoints(&xs, &ys, w, &proposal, lo, hi, &config);
+    let slow = reference::rowwise_muggeo(&xs, &ys, w, &proposal, lo, hi, &config);
+    let detail = compare_breakpoints(&fast, &slow, MUGGEO_PSI_ATOL * span)?;
+    Some(Divergence {
+        check: "muggeo-rowwise",
+        seed,
+        detail: format!("{detail} (n={n}, domain [{lo}, {hi}], proposal {proposal:?})"),
+        repro: None,
+    })
+}
+
+/// `gap <= tol`, false for a NaN gap, so a NaN on either side diverges.
+fn within(gap: f64, tol: f64) -> bool {
+    gap <= tol
+}
+
+/// Compares two refined breakpoint sets; `None` = agreement within `atol`.
+pub fn compare_breakpoints(fast: &[f64], slow: &[f64], atol: f64) -> Option<String> {
+    if fast.len() != slow.len() {
+        return Some(format!("breakpoint count: sums {fast:?} vs row-wise {slow:?}"));
+    }
+    let (j, gap) = fast
+        .iter()
+        .zip(slow)
+        .map(|(a, b)| (a - b).abs())
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))?;
+    (!within(gap, atol)).then(|| {
+        let (a, b) = (fast[j], slow[j]);
+        format!("breakpoint {j}: sums {a} vs row-wise {b} (|Δ| {gap:e} > {atol:e})")
+    })
+}
+
+/// Differential check: `regress::hinge` fits (per-segment sums) against the
+/// row-wise slope-space fits, free and monotone, at random breakpoints.
+pub fn check_hinge(rng: &mut StdRng, seed: u64) -> Option<Divergence> {
+    let (lo, hi) = random_domain(rng);
+    let k = rng.gen_range(0usize..4);
+    let truth = separated_breakpoints(rng, lo, hi, k);
+    // Enough points per segment that the slopes are identifiable; the
+    // degenerate layouts are covered by the regress proptests.
+    let n = (k + 1) * rng.gen_range(20usize..100);
+    // Fit at breakpoints near, not at, the truth: the monotone fit then
+    // has to clamp some slopes now and then.
+    let span = hi - lo;
+    let bps: Vec<f64> = truth.iter().map(|&p| p + span * rng.gen_range(-0.05f64..0.05)).collect();
+    let (xs, ys, weights) = pwl_scatter(rng, lo, hi, &truth, &bps, n);
+    let w = weights.as_deref();
+    let scale = 1.0 + (0..n).map(|i| w.map_or(1.0, |w| w[i]) * ys[i] * ys[i]).sum::<f64>();
+    for monotone in [false, true] {
+        let fast = if monotone {
+            fit_hinge_monotone(&xs, &ys, w, &bps, lo, hi)
+        } else {
+            fit_hinge(&xs, &ys, w, &bps, lo, hi)
+        };
+        let slow = reference::rowwise_hinge(&xs, &ys, w, &bps, lo, hi, monotone);
+        let detail = match (fast, slow) {
+            (Ok(f), Some(s)) => compare_hinge(&f, &s, &xs, &ys, scale),
+            (Err(_), None) => None, // both sides rejected the system
+            (f, s) => {
+                let slow = s.map_or("failed", |_| "ok");
+                Some(format!("sums {:?} vs row-wise {slow}", f.err()))
+            }
+        };
+        if let Some(detail) = detail {
+            return Some(Divergence {
+                check: "hinge-rowwise",
+                seed,
+                detail: format!("monotone={monotone}: {detail} (n={n}, breakpoints {bps:?})"),
+                repro: None,
+            });
+        }
+    }
+    None
+}
+
+/// Compares two hinge fits at the same breakpoints by their fitted values
+/// at `xs` and their SSE; `sse_scale` is `1 + Σw·y²`. `None` = agreement.
+pub fn compare_hinge(
+    fast: &phasefold_regress::HingeFit,
+    slow: &phasefold_regress::HingeFit,
+    xs: &[f64],
+    ys: &[f64],
+    sse_scale: f64,
+) -> Option<String> {
+    if fast.slopes.len() != slow.slopes.len() {
+        return Some(format!("slope count {} vs {}", fast.slopes.len(), slow.slopes.len()));
+    }
+    let atol = HINGE_FIT_RTOL * (1.0 + ys.iter().fold(0.0f64, |m, y| m.max(y.abs())));
+    for (i, &x) in xs.iter().enumerate() {
+        let (a, b) = (fast.predict(x), slow.predict(x));
+        if !within((a - b).abs(), atol) {
+            return Some(format!(
+                "fitted value at point {i} (x = {x}): sums {a} vs row-wise {b} (atol {atol:e}); \
+                 sums slopes {:?}, row-wise {:?}",
+                fast.slopes, slow.slopes
+            ));
+        }
+    }
+    if !within((fast.sse - slow.sse).abs(), HINGE_SSE_RTOL * sse_scale) {
+        return Some(format!(
+            "SSE: sums {} vs row-wise {} (rtol {HINGE_SSE_RTOL} of {sse_scale})",
+            fast.sse, slow.sse
+        ));
     }
     None
 }

@@ -1,7 +1,8 @@
 //! The fuzz driver: one seed = one generated case run through every
 //! differential and metamorphic check.
 //!
-//! Kernel-level differential checks (`segdp-exhaustive`, `dbscan-brute`)
+//! Kernel-level differential checks (`segdp-exhaustive`, `dbscan-brute`,
+//! `muggeo-rowwise`, `hinge-rowwise`)
 //! draw their own synthetic inputs per seed; trace-level checks all share
 //! the seed's generated [`Case`]. When a trace-level check diverges and
 //! shrinking is enabled, the case's spec is minimized under "that same
@@ -16,6 +17,8 @@ mod ns {
     pub const SPEC: u64 = 0x01;
     pub const SEGDP: u64 = 0x02;
     pub const DBSCAN: u64 = 0x03;
+    pub const MUGGEO: u64 = 0x04;
+    pub const HINGE: u64 = 0x05;
     pub const PERMUTE: u64 = 0xD5CA;
     pub const REORDER: u64 = 0xF01D;
 }
@@ -41,6 +44,8 @@ pub fn run_seed(seed: u64, shrink_repros: bool) -> Vec<Divergence> {
     // Kernel-level differentials on their own synthetic domains.
     divergences.extend(differential::check_segdp(&mut rng_for(seed, ns::SEGDP), seed));
     divergences.extend(differential::check_dbscan(&mut rng_for(seed, ns::DBSCAN), seed));
+    divergences.extend(differential::check_muggeo(&mut rng_for(seed, ns::MUGGEO), seed));
+    divergences.extend(differential::check_hinge(&mut rng_for(seed, ns::HINGE), seed));
 
     // Trace-level checks on the seed's generated case.
     let (spec, config) = random_spec(&mut rng_for(seed, ns::SPEC));

@@ -4,15 +4,17 @@
 //! pipeline. The paper's headline claim — folding plus piece-wise linear
 //! regressions reproduce fine-grain instrumentation within a few percent —
 //! only holds if the *optimized* kernels (block-pruned `segment_dp`,
-//! scratch-buffer NNLS, kd-tree DBSCAN, binary-search folding) compute
+//! sufficient-statistics Muggeo and hinge fits, kd-tree DBSCAN,
+//! binary-search folding) compute
 //! exactly what their textbook forms compute. This crate provides the
 //! oracle for that:
 //!
 //! * [`reference`] — deliberately slow, obviously-correct re-implementations
-//!   of the three core kernels: exhaustive segmented least squares,
-//!   brute-force O(n²) DBSCAN, and a naive linear-scan re-fold. Each one is
-//!   written from the spec with no shared code (and no shared tricks) with
-//!   the production crates.
+//!   of the core kernels: exhaustive segmented least squares, brute-force
+//!   O(n²) DBSCAN, a naive linear-scan re-fold, and the Muggeo refinement
+//!   and hinge fits with their design matrices built row by row. Each one
+//!   is written from the spec with no shared tricks with the production
+//!   crates (the row-wise fits share only the linear solvers).
 //! * [`differential`] — runs fast kernel and reference on the same input
 //!   and compares with exact (bit) or tolerance-documented equality.
 //! * [`metamorphic`] — properties derived from the paper's math that need

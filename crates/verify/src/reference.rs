@@ -2,13 +2,18 @@
 //!
 //! Each function here re-derives its answer from the mathematical
 //! definition with the dumbest adequate algorithm — exhaustive recursion,
-//! all-pairs distance scans, linear record walks — sharing *no* code,
-//! prefix tricks, or pruning with the production crates. Asymptotic cost
-//! is irrelevant: these only ever see fuzz-sized inputs.
+//! all-pairs distance scans, linear record walks, design matrices built row
+//! by row — sharing no prefix tricks or pruning with the production
+//! crates. The row-wise regression fits do reuse the production Cholesky
+//! and NNLS solvers: what they check is how the system is assembled.
+//! Asymptotic cost is irrelevant: these only ever see fuzz-sized inputs.
 
 use phasefold_cluster::Clustering;
 use phasefold_folding::{ClusterFold, FoldConfig, FoldedPoint, FoldedProfile};
 use phasefold_model::{Burst, CounterKind, Record, Trace, NUM_COUNTERS};
+use phasefold_regress::breakpoints::{enforce_separation, RefineConfig};
+use phasefold_regress::linalg::{nnls, wls, Mat};
+use phasefold_regress::HingeFit;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -89,6 +94,139 @@ pub fn exhaustive_segmentations(
             (m, sse)
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Row-wise Muggeo refinement and hinge fits
+// ---------------------------------------------------------------------------
+//
+// The production fits assemble their normal equations from suffix or
+// per-segment sums. These build the n × p design matrix row by row, exactly
+// as the definition reads, and hand it to the row-level solvers
+// (`linalg::wls`, `linalg::nnls`, which form XᵀWX row by row). They share
+// the Cholesky and NNLS cores with production: what is under test is the
+// assembly of the system, not the factorisation.
+
+/// Muggeo refinement with the design `[1, x, (x−ψ_j)₊ …, −I(x>ψ_j) …]`
+/// rebuilt from the rows on every iteration. Same update, step clamp,
+/// separation and stopping rules as `breakpoints::refine_breakpoints`;
+/// the inputs need not be sorted.
+pub fn rowwise_muggeo(
+    xs: &[f64],
+    ys: &[f64],
+    weights: Option<&[f64]>,
+    breakpoints: &[f64],
+    lo: f64,
+    hi: f64,
+    config: &RefineConfig,
+) -> Vec<f64> {
+    let mut psi = enforce_separation(breakpoints.to_vec(), lo, hi, config.min_separation);
+    if psi.is_empty() || xs.len() < 2 * psi.len() + 2 {
+        return psi;
+    }
+    for _ in 0..config.max_iters {
+        let k = psi.len();
+        let mut design = Mat::zeros(xs.len(), 2 + 2 * k);
+        for (i, &x) in xs.iter().enumerate() {
+            let row = design.row_mut(i);
+            row[0] = 1.0;
+            row[1] = x;
+            for (j, &p) in psi.iter().enumerate() {
+                row[2 + j] = (x - p).max(0.0);
+                row[2 + k + j] = if x > p { -1.0 } else { 0.0 };
+            }
+        }
+        let Ok(beta) = wls(&design, ys, weights) else { break };
+        let mut max_move: f64 = 0.0;
+        let mut next = psi.clone();
+        for j in 0..k {
+            let (gamma, delta) = (beta[2 + j], beta[2 + k + j]);
+            if gamma.abs() < 1e-12 {
+                continue;
+            }
+            let step = (delta / gamma).clamp(-config.max_step, config.max_step);
+            next[j] = (psi[j] + step).clamp(lo, hi);
+            max_move = max_move.max(step.abs());
+        }
+        psi = enforce_separation(next, lo, hi, config.min_separation);
+        if psi.is_empty() || max_move < config.tol {
+            break;
+        }
+    }
+    psi
+}
+
+/// Slope-space hinge fit with the design row `[1?, overlap_0(x), …]`,
+/// `overlap_j(x) = clamp(x − e_j, lower_j, upper_j)` (edge segments
+/// extrapolate), built row by row. `monotone` solves by NNLS over
+/// `[+1, −1, slopes…]` on √w-scaled rows, otherwise by weighted least
+/// squares; SSE and r² come from `HingeFit::predict` at every point.
+/// `None` when the solver fails or there are too few points.
+pub fn rowwise_hinge(
+    xs: &[f64],
+    ys: &[f64],
+    weights: Option<&[f64]>,
+    breakpoints: &[f64],
+    lo: f64,
+    hi: f64,
+    monotone: bool,
+) -> Option<HingeFit> {
+    let k = breakpoints.len();
+    let n = xs.len();
+    if n < k + 2 {
+        return None;
+    }
+    let mut edges = vec![lo];
+    edges.extend_from_slice(breakpoints);
+    edges.push(hi);
+    let overlap = |x: f64, j: usize| {
+        let upper = if j == k { f64::INFINITY } else { edges[j + 1] - edges[j] };
+        let lower = if j == 0 { f64::NEG_INFINITY } else { 0.0 };
+        (x - edges[j]).clamp(lower, upper)
+    };
+    let (intercept, slopes) = if monotone {
+        let mut design = Mat::zeros(n, k + 3);
+        let mut b = vec![0.0; n];
+        for i in 0..n {
+            let sw = weights.map_or(1.0, |w| w[i].max(0.0)).sqrt();
+            let row = design.row_mut(i);
+            row[0] = sw;
+            row[1] = -sw;
+            for j in 0..=k {
+                row[2 + j] = sw * overlap(xs[i], j);
+            }
+            b[i] = sw * ys[i];
+        }
+        let sol = nnls(&design, &b, 50 * (k + 3)).ok()?;
+        (sol[0] - sol[1], sol[2..].to_vec())
+    } else {
+        let mut design = Mat::zeros(n, k + 2);
+        for (i, &x) in xs.iter().enumerate() {
+            let row = design.row_mut(i);
+            row[0] = 1.0;
+            for j in 0..=k {
+                row[1 + j] = overlap(x, j);
+            }
+        }
+        let beta = wls(&design, ys, weights).ok()?;
+        (beta[0], beta[1..].to_vec())
+    };
+    let mut fit = HingeFit {
+        lo,
+        hi,
+        breakpoints: breakpoints.to_vec(),
+        intercept,
+        slopes,
+        sse: 0.0,
+        r2: 0.0,
+        n,
+    };
+    let pred: Vec<f64> = xs.iter().map(|&x| fit.predict(x)).collect();
+    fit.sse = (0..n)
+        .map(|i| weights.map_or(1.0, |w| w[i]) * (pred[i] - ys[i]) * (pred[i] - ys[i]))
+        .sum();
+    fit.r2 = phasefold_regress::stats::r_squared(&pred, ys);
+    Some(fit)
 }
 
 // ---------------------------------------------------------------------------

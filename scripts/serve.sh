@@ -23,7 +23,7 @@
 #     SIGKILLed mid-stream and rebooted on the same --state-dir; the
 #     resumed session's /phases answer must be byte-identical to the one
 #     served just before the kill — zero acknowledged records lost,
-#   - scaling: the full E16 concurrency ladder (1..1024) regenerates
+#   - scaling: the full E16 concurrency ladder (1..1024) writes a fresh
 #     BENCH_serve.json in-process and is gated on throughput shape. On
 #     multi-core hosts throughput must be monotone (5% slack) up to the
 #     core count. On 1-core hosts real scaling cannot be observed —
@@ -32,14 +32,31 @@
 #     the c=4 throughput and the ladder peak, p99 at c=64 under
 #     SCALE_P99_GATE_MS, zero drops through c=1024.
 #
+# Every result file (BENCH_serve.json, results/e16_serve_load.csv) is
+# written into the script's temporary work directory, so a run leaves the
+# tracked copies alone.
+#
 # Usage:
-#   scripts/serve.sh
+#   scripts/serve.sh            # run the gates
+#   scripts/serve.sh --update   # also copy the ladder's BENCH_serve.json and
+#                               # results/e16_serve_load.csv into the repo
+#                               # once every gate has passed (the ladder
+#                               # writes no "durability" block: rerun
+#                               # exp_durability afterwards to splice it)
 #
 # Needs only cargo + POSIX shell tools; exp_serve_load writes its JSON one
 # scalar per line exactly so this script can stay dependency-free.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+REPO=$PWD
+
+UPDATE=0
+case "${1:-}" in
+    "") ;;
+    --update) UPDATE=1 ;;
+    *) echo "usage: scripts/serve.sh [--update]" >&2; exit 2 ;;
+esac
 
 P99_GATE_MS=${P99_GATE_MS:-2000}
 HIT_RATIO_GATE=${HIT_RATIO_GATE:-0.5}
@@ -64,7 +81,10 @@ echo "== release build =="
 cargo build --release -p phasefold-cli -p phasefold-bench
 
 PHASEFOLD=target/release/phasefold
-LOADGEN=target/release/exp_serve_load
+LOADGEN=$REPO/target/release/exp_serve_load
+# exp_serve_load writes results/e16_serve_load.csv under its working
+# directory; running it from $WORK keeps the tracked copy untouched.
+BENCH_JSON="$WORK/BENCH_serve.json"
 
 echo "== booting daemon on an ephemeral port =="
 "$PHASEFOLD" serve --addr 127.0.0.1:0 --workers 4 --queue-depth 32 \
@@ -182,7 +202,7 @@ fi
 echo "ok: phasefold fingerprint --fault-policy lenient accepts it too"
 
 echo "== low-concurrency load against the live daemon =="
-"$LOADGEN" "$LOAD_JSON" --addr "$ADDR" --requests 64 --levels 1,4
+(cd "$WORK" && "$LOADGEN" "$LOAD_JSON" --addr "$ADDR" --requests 64 --levels 1,4)
 
 extract() {
     grep "\"$1\":" "$LOAD_JSON" | head -1 | sed "s/.*\"$1\": \([0-9.truefalse]*\),*/\1/"
@@ -298,10 +318,10 @@ SERVER_PID=""
 echo "ok: kill-and-resume gate passed"
 
 echo "== scaling gate: full E16 ladder, in-process daemons =="
-"$LOADGEN"
+(cd "$WORK" && "$LOADGEN" "$BENCH_JSON")
 
 extract_bench() {
-    grep "\"$1\":" BENCH_serve.json | head -1 \
+    grep "\"$1\":" "$BENCH_JSON" | head -1 \
         | sed "s/.*\"$1\": \([0-9.truefalse]*\),*/\1/"
 }
 
@@ -314,7 +334,7 @@ if [[ "$bench_dropped" != "0" ]]; then
 fi
 # One "concurrency throughput p99" triple per ladder level (the
 # durability block has no "concurrency" key, so this grep is exact).
-grep '"concurrency":' BENCH_serve.json \
+grep '"concurrency":' "$BENCH_JSON" \
     | sed 's/.*"concurrency": \([0-9]*\),.*"throughput_rps": \([0-9.]*\),.*"p99_ms": \([0-9.]*\),.*/\1 \2 \3/' \
     | awk -v cores="$cores" -v measured="$measured" \
           -v p99gate="$SCALE_P99_GATE_MS" -v collapse="$COLLAPSE_GATE" '
@@ -361,5 +381,10 @@ grep '"concurrency":' BENCH_serve.json \
 if [[ $fail -ne 0 ]]; then
     echo "FAIL: serving gate"
     exit 1
+fi
+if [[ $UPDATE -eq 1 ]]; then
+    cp "$BENCH_JSON" "$REPO/BENCH_serve.json"
+    cp "$WORK/results/e16_serve_load.csv" "$REPO/results/e16_serve_load.csv"
+    echo "updated BENCH_serve.json and results/e16_serve_load.csv"
 fi
 echo "OK: serve smoke + load + scaling gates passed"
