@@ -215,19 +215,13 @@ fn load_trace(path: &str) -> Result<Trace, CliError> {
     Ok(prv::parse_trace(&text)?)
 }
 
-/// Parses `--threads N` into the analysis thread setting (0 = auto).
+/// Parses `--threads N` (0 = auto) into [`AnalysisConfig::threads`],
+/// which the analysis accepts and ignores.
 fn threads_option(p: &crate::args::Parsed) -> Result<Option<usize>, CliError> {
     match p.get_parsed::<usize>("threads", 0)? {
         0 => Ok(None), // auto: use the machine's available parallelism
         n => Ok(Some(n)),
     }
-}
-
-/// Parses `--parallel-threshold N` (folded samples below which model
-/// building runs sequentially regardless of `--threads`; 0 = always honour
-/// the thread request). Defaults to the config default.
-fn parallel_threshold_option(p: &crate::args::Parsed) -> Result<usize, CliError> {
-    p.get_parsed("parallel-threshold", AnalysisConfig::default().parallel_threshold)
 }
 
 /// Parses `--fault-policy lenient|strict` (default lenient).
@@ -245,7 +239,7 @@ fn fault_policy_option(p: &crate::args::Parsed) -> Result<FaultPolicy, CliError>
 pub fn analyze(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let p = parse(
         argv,
-        &["threads", "parallel-threshold", "fault-policy", "log-level", "profile", "metrics", "prom"],
+        &["threads", "fault-policy", "log-level", "profile", "metrics", "prom"],
         &["bootstrap", "markdown"],
     )?;
     let path = p.positional(0, "trace file")?;
@@ -257,7 +251,6 @@ pub fn analyze(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let (trace, parse_faults) = prv::parse_trace_with(&text, policy)?;
     let mut config = AnalysisConfig::default();
     config.threads = threads_option(&p)?;
-    config.parallel_threshold = parallel_threshold_option(&p)?;
     config.fault_policy = policy;
     if p.has_flag("bootstrap") {
         config.bootstrap = Some(phasefold_regress::BootstrapConfig::default());
@@ -312,15 +305,7 @@ fn threshold_option(p: &crate::args::Parsed) -> Result<f64, CliError> {
 pub fn compare(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let p = parse(
         argv,
-        &[
-            "threads",
-            "parallel-threshold",
-            "threshold",
-            "log-level",
-            "profile",
-            "metrics",
-            "prom",
-        ],
+        &["threads", "threshold", "log-level", "profile", "metrics", "prom"],
         &["json"],
     )?;
     let base_path = p.positional(0, "baseline (trace.prv or fingerprint.pffp)")?;
@@ -354,11 +339,7 @@ fn match_runs(
     cand_path: &str,
     threshold: f64,
 ) -> Result<CompareVerdict, CliError> {
-    let config = AnalysisConfig {
-        threads: threads_option(p)?,
-        parallel_threshold: parallel_threshold_option(p)?,
-        ..AnalysisConfig::default()
-    };
+    let config = AnalysisConfig { threads: threads_option(p)?, ..AnalysisConfig::default() };
     let base = load_fingerprint(base_path, None, "default", &config)?;
     let cand = load_fingerprint(cand_path, None, "default", &config)?;
     let match_cfg = MatchConfig { regression_threshold: threshold, ..MatchConfig::default() };
@@ -390,15 +371,14 @@ fn load_fingerprint(
 
 /// Parses PRV text under the config's fault policy (as `analyze` and the
 /// daemon do) and fingerprints the analysis. A trace too broken to read
-/// at all reports the parser's typed error under either policy.
+/// at all is worded as `analyze` words it under the same policy.
 fn fingerprint_prv(
     text: &str,
     config: &AnalysisConfig,
     build: &str,
     trace_id: &str,
 ) -> Result<Fingerprint, CliError> {
-    let (trace, _) =
-        prv::parse_trace_with(text, config.fault_policy).map_err(|e| CliError::Trace(e.error))?;
+    let (trace, _) = prv::parse_trace_with(text, config.fault_policy)?;
     let analysis = try_analyze_trace(&trace, config)?;
     Ok(Fingerprint::from_analysis(&analysis, &trace.registry, build, trace_id))
 }
@@ -409,7 +389,7 @@ fn fingerprint_prv(
 pub fn fingerprint(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let p = parse(
         argv,
-        &["out", "build", "trace-id", "threads", "parallel-threshold", "fault-policy"],
+        &["out", "build", "trace-id", "threads", "fault-policy"],
         &[],
     )?;
     let path = p.positional(0, "trace file")?;
@@ -425,7 +405,6 @@ pub fn fingerprint(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let trace_id = p.get("trace-id").unwrap_or("default");
     let config = AnalysisConfig {
         threads: threads_option(&p)?,
-        parallel_threshold: parallel_threshold_option(&p)?,
         fault_policy: fault_policy_option(&p)?,
         ..AnalysisConfig::default()
     };
@@ -448,11 +427,7 @@ pub fn fingerprint(argv: &[String], out: &mut String) -> Result<(), CliError> {
 /// `.pffp` fingerprint) and exits non-zero iff the candidate regressed by
 /// at least `--threshold`. The CI gate face of the fleet matcher.
 pub fn regress_check(argv: &[String], out: &mut String) -> Result<(), CliError> {
-    let p = parse(
-        argv,
-        &["threshold", "threads", "parallel-threshold"],
-        &["json"],
-    )?;
+    let p = parse(argv, &["threshold", "threads"], &["json"])?;
     let base_path = p.positional(0, "baseline (trace.prv or fingerprint.pffp)")?;
     let cand_path = p.positional(1, "candidate (trace.prv or fingerprint.pffp)")?;
     let threshold = threshold_option(&p)?;
@@ -475,16 +450,13 @@ pub fn regress_check(argv: &[String], out: &mut String) -> Result<(), CliError> 
 }
 
 /// `phasefold selfcheck`: runs a canned synthetic workload through the
-/// whole stack with observability enabled and prints stage timings, pool
-/// utilisation, and pipeline counters — the tool profiling itself.
+/// whole stack with observability enabled and prints stage timings and
+/// kernel counters — the tool profiling itself.
 pub fn selfcheck(argv: &[String], out: &mut String) -> Result<(), CliError> {
-    let mut option_names = vec!["threads", "parallel-threshold", "iterations", "ranks"];
+    let mut option_names = vec!["threads", "iterations", "ranks"];
     option_names.extend(OBS_OPTIONS);
     let p = parse(argv, &option_names, &[])?;
     let threads = threads_option(&p)?;
-    // Default 0, not the analysis default: the canned workload is below
-    // that threshold, and exercising the pool is selfcheck's job.
-    let parallel_threshold: usize = p.get_parsed("parallel-threshold", 0)?;
     let iterations: u64 = p.get_parsed("iterations", 300)?;
     let ranks: usize = p.get_parsed("ranks", 4)?;
     let obs_req = ObsRequest::setup(&p, true)?;
@@ -494,47 +466,26 @@ pub fn selfcheck(argv: &[String], out: &mut String) -> Result<(), CliError> {
     let program = synthetic::build(&params);
     let sim = sim_run(&program, &SimConfig { ranks, ..SimConfig::default() });
     let trace = trace_run(&program.registry, &sim.timelines, &TracerConfig::default());
-    let config = AnalysisConfig { threads, parallel_threshold, ..AnalysisConfig::default() };
+    let config = AnalysisConfig { threads, ..AnalysisConfig::default() };
     let analysis = analyze_trace(&trace, &config);
     let wall = t0.elapsed();
 
     let snap = obs_req.finish()?.expect("selfcheck always records");
-    let resolved_threads = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1);
     let _ = writeln!(out, "phasefold selfcheck");
     let _ = writeln!(out, "===================");
     let _ = writeln!(
         out,
-        "workload: synthetic ({iterations} iterations, {ranks} ranks, {} records), \
-         {resolved_threads} analysis thread(s)",
+        "workload: synthetic ({iterations} iterations, {ranks} ranks, {} records)",
         trace.total_records()
     );
     let _ = writeln!(out, "\nstage timings (spans):");
     out.push_str(&obs::export::summary_table(&snap));
 
-    // Pool utilisation: summed task time over the workers' wall-clock
-    // capacity. With one thread the pool is bypassed, so report the
-    // sequential path's share of the whole run instead.
-    let counters: std::collections::BTreeMap<&str, u64> =
-        snap.counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let task_ns = counters.get("pool.task_ns").copied().unwrap_or(0);
-    let wall_ns = wall.as_nanos().max(1) as u64;
-    let utilization = task_ns as f64 / (resolved_threads as u64 * wall_ns) as f64;
-    let _ = writeln!(
-        out,
-        "\npool: {} scheduled, {} completed, {} steals, queue depth peak {}, \
-         utilization {:.1}%",
-        counters.get("pool.tasks_scheduled").copied().unwrap_or(0),
-        counters.get("pool.tasks_completed").copied().unwrap_or(0),
-        counters.get("pool.steals").copied().unwrap_or(0),
-        counters.get("pool.queue_depth_max").copied().unwrap_or(0),
-        100.0 * utilization,
-    );
-
     // Kernel roofline counters: how much work the hot loops actually did,
     // and how much the pruning/layout optimisations saved. These are the
     // numbers to watch when a kernel change claims a speedup.
+    let counters: std::collections::BTreeMap<&str, u64> =
+        snap.counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     let kc = |name: &str| counters.get(name).copied().unwrap_or(0);
     let _ = writeln!(out, "\nkernel counters:");
     let _ = writeln!(
@@ -680,7 +631,6 @@ pub fn serve(argv: &[String], out: &mut String) -> Result<(), CliError> {
         argv,
         &[
             "addr",
-            "threads",
             "workers",
             "queue-depth",
             "cache-entries",
@@ -710,9 +660,8 @@ pub fn serve(argv: &[String], out: &mut String) -> Result<(), CliError> {
             "--regress-threshold must be a positive relative growth, got {regress_threshold}"
         )));
     }
-    let mut analysis = AnalysisConfig::default();
-    analysis.threads = threads_option(&p)?;
-    analysis.fault_policy = fault_policy_option(&p)?;
+    let analysis =
+        AnalysisConfig { fault_policy: fault_policy_option(&p)?, ..AnalysisConfig::default() };
     let trace_sample_rate: f64 = p.get_parsed("trace-sample-rate", 1.0)?;
     if !(0.0..=1.0).contains(&trace_sample_rate) {
         return Err(CliError::Usage(format!(

@@ -106,9 +106,8 @@ commands:
       [--ranks N] [--seed S] [--noise none|quiet|noisy]
       [--period-ms P] [--imbalance F] [--optimized]
   analyze <F.prv>                   phase analysis report of a trace
-      [--bootstrap] [--markdown] [--threads N (0 = auto)]
-      [--parallel-threshold N (folded samples; below it model building
-       runs sequentially regardless of --threads; 0 = always parallel)]
+      [--bootstrap] [--markdown]
+      [--threads N (accepted, no effect: the analysis is sequential)]
       [--fault-policy lenient|strict]
       [--profile out.json] [--metrics out.json] [--prom out.prom]
       [--log-level L]
@@ -120,32 +119,30 @@ commands:
       the speedup; each argument is a PRV trace or a .pffp fingerprint
       [--json (the verdict regress-check --json and POST /v1/compare print)]
       [--threshold R (relative growth that counts as regression, 0.08)]
-      [--threads N (0 = auto)] [--parallel-threshold N]
+      [--threads N (no effect)]
       [--profile out.json] [--metrics out.json] [--prom out.prom]
       [--log-level L]
   fingerprint <F.prv> --out G.pffp  condense a trace into a versioned
       phase fingerprint (the per-build artifact CI stores)
       [--build ID (default: trace file stem)] [--trace-id ID]
-      [--threads N] [--parallel-threshold N]
-      [--fault-policy lenient|strict]
+      [--threads N] [--fault-policy lenient|strict]
   regress-check <base> <cand>       deploy gate: exits non-zero iff the
       candidate run regressed vs the baseline; each argument is a PRV
       trace or a .pffp fingerprint
-      [--threshold R (default 0.08 = 8%)] [--json]
-      [--threads N] [--parallel-threshold N]
+      [--threshold R (default 0.08 = 8%)] [--json] [--threads N]
   period <F.prv>                    detect the iterative period
       [--rank R] [--bins B]
   reconstruct <F.prv>               unfolded fine-grain rate timeline (CSV)
       [--rank R] [--points N]
   selfcheck                         profile the analysis stack on a canned
-      workload: stage timings + pool utilization + kernel counters
-      [--threads N] [--parallel-threshold N (default 0)] [--iterations N]
-      [--ranks N]
+      workload: stage timings + kernel counters
+      [--threads N] [--iterations N] [--ranks N]
       [--profile out.json] [--metrics out.json] [--prom out.prom]
       [--log-level L]
   serve                             analysis daemon (HTTP/1.1 on std::net)
       [--addr H:P (default 127.0.0.1:8191, port 0 = ephemeral)]
-      [--threads N (0 = auto)] [--workers N] [--queue-depth N]
+      [--workers N (analysis jobs at once, one thread each)]
+      [--queue-depth N]
       [--cache-entries N (in-memory analyze reports, 64)]
       [--fault-policy lenient|strict]
       [--port-file F (bound address is written here)]
@@ -332,6 +329,23 @@ mod tests {
             "simulate", "stencil", "--ranks", "2", "--optimized", "--out", &path,
         ]);
         assert!(out.contains("stencil-blocked"), "{out}");
+    }
+
+    #[test]
+    fn unreadable_trace_is_worded_alike_by_every_lenient_command() {
+        let path = tmp("cli_bad_magic.prv");
+        std::fs::write(&path, "#NOT_A_TRACE v9\n#RANKS 1\nS 0 1 - -\n").unwrap();
+        let failure = |v: &[&str]| {
+            let err = run(&argv(v), &mut String::new()).unwrap_err();
+            (exit_code(&err), err.to_string().lines().next().unwrap_or_default().to_string())
+        };
+        let analyze = failure(&["analyze", &path, "--fault-policy", "lenient"]);
+        assert!(analyze.1.starts_with("fault: [fatal]"), "{analyze:?}");
+        assert_eq!(analyze.0, 1);
+        let fp_out = tmp("cli_bad_magic.pffp");
+        assert_eq!(failure(&["fingerprint", &path, "--out", &fp_out]), analyze);
+        assert_eq!(failure(&["compare", &path, &path]), analyze);
+        assert_eq!(failure(&["regress-check", &path, &path]), analyze);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden-file validation of the observability exporters, driven through
 //! the real CLI: `--profile` must emit a valid Chrome-trace JSON array
-//! covering every pipeline stage and the pool worker lanes, and enabling
+//! covering every pipeline stage on a named lane, and enabling
 //! the instrumentation must not change a single byte of the report.
 //!
 //! The JSON checker lives in `common/json.rs`: a deliberately small
@@ -55,12 +55,8 @@ fn profile_is_valid_chrome_trace_covering_all_stages() {
     let trace = simulate_trace("golden.prv");
     let profile = tmp("golden_profile.json");
     let metrics = tmp("golden_metrics.json");
-    // --parallel-threshold 0: the trace is small enough that the default
-    // granularity floor would (correctly) bypass the pool, and this test
-    // exists precisely to see the pool worker lanes in the profile.
     run_ok(&[
-        "analyze", &trace, "--threads", "4", "--parallel-threshold", "0",
-        "--profile", &profile, "--metrics", &metrics,
+        "analyze", &trace, "--threads", "4", "--profile", &profile, "--metrics", &metrics,
     ]);
 
     let doc = parse_json(&std::fs::read_to_string(&profile).unwrap());
@@ -126,26 +122,17 @@ fn profile_is_valid_chrome_trace_covering_all_stages() {
             "no span covering stage {stage}; got {span_names:?}"
         );
     }
-    // The main thread and at least one pool worker have named lanes.
+    // The analysis runs on the main thread's named lane.
     assert!(lane_names.iter().any(|n| n == "main"), "lanes: {lane_names:?}");
-    assert!(
-        lane_names.iter().any(|n| n.starts_with("pool-worker-")),
-        "no per-worker pool lane in {lane_names:?}"
-    );
 
-    // The metrics dump is valid JSON too, with balanced pool counters.
+    // The metrics dump is valid JSON too, with the kernel counters every
+    // analysis emits.
     let m = parse_json(&std::fs::read_to_string(&metrics).unwrap());
     let counters = m.get("counters").expect("metrics without counters section");
-    let scheduled = counters
-        .get("pool.tasks_scheduled")
-        .and_then(Json::as_num)
-        .expect("missing pool.tasks_scheduled");
-    let completed = counters
-        .get("pool.tasks_completed")
-        .and_then(Json::as_num)
-        .expect("missing pool.tasks_completed");
-    assert!(scheduled > 0.0);
-    assert_eq!(scheduled, completed, "scheduled != completed in metrics dump");
+    for counter in ["dbscan.range_queries", "segdp.cells_evaluated"] {
+        let value = counters.get(counter).and_then(Json::as_num);
+        assert!(value.is_some_and(|v| v > 0.0), "{counter} missing or zero");
+    }
     assert!(m.get("gauges").is_some() && m.get("spans").is_some());
 }
 
@@ -168,13 +155,10 @@ fn report_is_bit_identical_with_and_without_instrumentation() {
         plain, profiled,
         "enabling observability changed the analysis report"
     );
-    // And again with the pool engaged (threshold 0 forces it on this
-    // sub-threshold trace).
-    let plain_par =
-        run_ok(&["analyze", &trace, "--threads", "4", "--parallel-threshold", "0"]);
+    // And again with `--threads`, which is accepted and changes nothing.
+    let plain_par = run_ok(&["analyze", &trace, "--threads", "4"]);
     let profiled_par = run_ok(&[
-        "analyze", &trace, "--threads", "4", "--parallel-threshold", "0",
-        "--profile", &tmp("identical_par.json"),
+        "analyze", &trace, "--threads", "4", "--profile", &tmp("identical_par.json"),
     ]);
     assert_eq!(plain_par, profiled_par);
     assert_eq!(plain, plain_par, "thread count changed the report");
@@ -187,7 +171,7 @@ fn selfcheck_smoke() {
     let out = run_ok(&["selfcheck", "--threads", "2", "--profile", &profile]);
     assert!(out.contains("phasefold selfcheck"), "{out}");
     assert!(out.contains("selfcheck OK"), "{out}");
-    assert!(out.contains("pool"), "{out}");
+    assert!(out.contains("kernel counters"), "{out}");
     // Its profile export is valid Chrome-trace JSON as well.
     let doc = parse_json(&std::fs::read_to_string(&profile).unwrap());
     assert!(matches!(doc, Json::Arr(_)));
@@ -201,7 +185,7 @@ fn prom_export_writes_exposition_text() {
     let prom = std::fs::read_to_string(&prom_path).unwrap();
     assert!(prom.lines().any(|l| l.starts_with("# TYPE ")), "{prom}");
     assert!(
-        prom.lines().any(|l| l.starts_with("pool_tasks_scheduled ")),
-        "pool counters missing from prom export:\n{prom}"
+        prom.lines().any(|l| l.starts_with("dbscan_range_queries ")),
+        "dbscan counters missing from prom export:\n{prom}"
     );
 }

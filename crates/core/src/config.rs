@@ -26,18 +26,11 @@ pub struct AnalysisConfig {
     /// (`None` skips it; it multiplies fitting cost by ~2× the replicate
     /// count).
     pub bootstrap: Option<BootstrapConfig>,
-    /// Worker threads for the model-building stage. `None` uses the
-    /// machine's available parallelism; `Some(1)` forces the fully
-    /// sequential path (no worker threads are spawned at all). The analysis
-    /// result is bit-identical regardless of the setting.
+    /// Accepted and ignored: the analysis runs on the calling thread, one
+    /// fold after another, whatever the value. Callers that want several
+    /// traces analysed at once run one analysis per thread (as the
+    /// daemon's `--workers` does).
     pub threads: Option<usize>,
-    /// Task-granularity floor for the parallel model-building stage: when
-    /// the trace folds to fewer than this many total samples, the fits are
-    /// too cheap to amortise spawning and scheduling worker threads, so the
-    /// stage runs sequentially regardless of `threads`. Results are
-    /// bit-identical either way; only the schedule changes. Set to 0 to
-    /// always honour `threads`.
-    pub parallel_threshold: usize,
     /// How faults recorded during the analysis change control flow:
     /// [`FaultPolicy::Lenient`] (the default) quarantines the offending
     /// counter/fold and completes with a populated fault report;
@@ -56,9 +49,6 @@ impl Default for AnalysisConfig {
             min_folded_points: 30,
             bootstrap: None,
             threads: None,
-            // ~2k folded samples ≈ a couple ms of fitting — well past the
-            // break-even with thread spawn + scheduling cost (tens of µs).
-            parallel_threshold: 2048,
             fault_policy: FaultPolicy::default(),
         }
     }

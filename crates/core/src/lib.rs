@@ -52,7 +52,6 @@ pub mod export;
 pub mod metrics;
 pub mod phase;
 pub mod pipeline;
-pub mod pool;
 pub mod online;
 pub mod report;
 pub mod signal;
@@ -65,7 +64,6 @@ pub use eval::{match_models_to_templates, rate_profile_error, score_boundaries, 
 pub use metrics::{Bottleneck, PhaseMetrics};
 pub use phase::{ClusterPhaseModel, Phase};
 pub use pipeline::{analyze_trace, try_analyze_trace, Analysis};
-pub use pool::TaskPanic;
 pub use online::OnlineAnalyzer;
 pub use signal::{activity_signal, detect_trace_period, ActivitySignal, TracePeriod};
 pub use srcmap::SourceAttribution;

@@ -6,17 +6,15 @@
 //! counters, diverging fits and panicking tasks are *quarantined* —
 //! recorded in [`Analysis::faults`] with kind + provenance — while every
 //! healthy counter and fold still produces its model, bit-identical to a
-//! clean run at any thread count. [`try_analyze_trace`] layers the
-//! caller's [`FaultPolicy`] on top: `Strict` turns the first
-//! `Error`-severity fault into an `Err`, `Lenient` (the default) ships the
-//! partial result plus the report.
+//! clean run. [`try_analyze_trace`] layers the caller's [`FaultPolicy`] on
+//! top: `Strict` turns the first `Error`-severity fault into an `Err`,
+//! `Lenient` (the default) ships the partial result plus the report.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::config::AnalysisConfig;
 use crate::metrics::PhaseMetrics;
 use crate::phase::{ClusterPhaseModel, Phase};
-use crate::pool::{self, Job, TaskPanic};
 use crate::srcmap::{attribute_span, span_histogram};
 use phasefold_cluster::{cluster_bursts, Clustering};
 use phasefold_folding::{fold_trace, ClusterFold};
@@ -27,9 +25,8 @@ use phasefold_model::{
 use phasefold_obs::Level;
 use phasefold_regress::hinge::fit_hinge_monotone;
 use phasefold_regress::{fit_pwlr, FitError, PwlrFit};
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The result of analysing one trace.
 #[derive(Debug, Clone)]
@@ -43,8 +40,7 @@ pub struct Analysis {
     pub models: Vec<ClusterPhaseModel>,
     /// Everything that was quarantined on the way: degenerate folds,
     /// NaN-poisoned counters, diverging fits, isolated task panics. Empty
-    /// on a clean run; deterministic (fold order, then counter order) at
-    /// any thread count.
+    /// on a clean run; deterministic (fold order, then counter order).
     pub faults: FaultReport,
 }
 
@@ -138,18 +134,16 @@ pub(crate) fn sort_models_by_total_time(models: &mut [ClusterPhaseModel]) {
     });
 }
 
-/// Threads the model-building stage may use.
-fn resolved_threads(config: &AnalysisConfig) -> usize {
-    config
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
-}
-
-/// Recovers a possibly-poisoned mutex guard; the protected data is plain
-/// (no invariants can be half-updated across the panic points we isolate).
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poison| poison.into_inner())
+/// Renders a `catch_unwind` payload to text: `&str`/`String` payloads
+/// pass through, anything else becomes a placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
 }
 
 /// Converts an isolated panic into its `TaskPanicked` fault.
@@ -158,207 +152,23 @@ fn panic_fault(cluster: usize, stage: &str, message: &str) -> Fault {
         .in_cluster(cluster)
 }
 
-/// Fault-slot layout of one fold: structure first, then one slot per
-/// counter (in counter-index order), then assembly. Draining the slots in
-/// this order after the pool finishes reproduces exactly the sequence the
-/// single-threaded path records, so fault reports are deterministic at any
-/// thread count.
-const FAULT_SLOT_STRUCTURE: usize = 0;
-const FAULT_SLOT_ASSEMBLE: usize = NUM_COUNTERS + 1;
-const FAULT_SLOTS: usize = NUM_COUNTERS + 2;
-
-fn fault_slot_for(kind: CounterKind) -> usize {
-    1 + kind.index()
-}
-
 /// Builds one model per foldable cluster (in fold order, gaps removed),
 /// together with every fault quarantined on the way.
 ///
-/// Work is scheduled on the work-stealing pool as *two* kinds of items —
-/// whole-fold structural fits, which then fan out into per-counter refits —
-/// so a trace with one giant cluster still spreads its counters across
-/// cores instead of serialising behind a single chunk. With one thread the
-/// pool is bypassed entirely and the models are built in a plain loop; the
-/// output (models *and* fault report) is bit-identical either way because
-/// every task writes only its own slot and the stages exchange exactly the
-/// same inputs.
+/// The unit of work is the fold: [`build_model_checked`] fits its
+/// structure, refits every counter on those breakpoints and assembles the
+/// model, isolating each stage's panics, so the fault report follows fold
+/// order. The folds are built one after another on the calling thread;
+/// `config.threads` is not consulted.
 fn build_models(
     folds: &[ClusterFold],
     config: &AnalysisConfig,
 ) -> (Vec<ClusterPhaseModel>, FaultReport) {
-    // Per-counter refits are the finest work grain: more threads than
-    // counter tasks cannot help.
-    let mut threads = resolved_threads(config).min(folds.len() * NUM_COUNTERS).max(1);
-    // Sequential-fallback threshold: fitting cost scales with the folded
-    // sample count, and below the threshold the whole stage is cheaper
-    // than spawning the pool's worker threads. Tiny folds therefore never
-    // pay scheduling overhead (pool.tasks_scheduled stays 0).
-    let total_samples: usize = folds.iter().map(|f| f.samples).sum();
-    if total_samples < config.parallel_threshold {
-        threads = 1;
-    }
     let mut report = FaultReport::new();
-    if threads == 1 {
-        let models = folds
-            .iter()
-            .filter_map(|fold| build_model_checked(fold, config, &mut report.faults))
-            .collect();
-        return (models, report);
-    }
-
-    /// Shared state of one in-flight fold: the structural fit parked
-    /// between stages, the per-counter slope slots, a countdown that lets
-    /// the last counter task assemble the model, and the per-stage fault
-    /// slots (see [`FAULT_SLOT_STRUCTURE`]).
-    struct FoldCell {
-        structure: Mutex<Option<FoldStructure>>,
-        slopes: Vec<Mutex<Vec<f64>>>,
-        remaining: AtomicUsize,
-        out: Mutex<Option<ClusterPhaseModel>>,
-        faults: Vec<Mutex<Vec<Fault>>>,
-    }
-
-    let cells: Vec<FoldCell> = folds
+    let models = folds
         .iter()
-        .map(|_| FoldCell {
-            structure: Mutex::new(None),
-            slopes: (0..NUM_COUNTERS).map(|_| Mutex::new(Vec::new())).collect(),
-            remaining: AtomicUsize::new(0),
-            out: Mutex::new(None),
-            faults: (0..FAULT_SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
-        })
+        .filter_map(|fold| build_model_checked(fold, config, &mut report.faults))
         .collect();
-
-    fn finish_cell(cell: &FoldCell, fold: &ClusterFold, config: &AnalysisConfig) {
-        let Some(structure) = relock(&cell.structure).take() else {
-            relock(&cell.faults[FAULT_SLOT_ASSEMBLE]).push(panic_fault(
-                fold.cluster,
-                "model assembly",
-                "internal invariant breach: structure missing",
-            ));
-            return;
-        };
-        let per_counter_slopes: Vec<Vec<f64>> =
-            cell.slopes.iter().map(|slot| std::mem::take(&mut *relock(slot))).collect();
-        match panic::catch_unwind(AssertUnwindSafe(|| {
-            assemble_model(fold, structure, per_counter_slopes, config)
-        })) {
-            Ok(model) => *relock(&cell.out) = Some(model),
-            Err(payload) => relock(&cell.faults[FAULT_SLOT_ASSEMBLE]).push(panic_fault(
-                fold.cluster,
-                "model assembly",
-                &pool::panic_message(&*payload),
-            )),
-        }
-    }
-
-    let seeds: Vec<Job<'_>> = folds
-        .iter()
-        .zip(&cells)
-        .map(|(fold, cell)| -> Job<'_> {
-            Box::new(move |sp| {
-                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut local = Vec::new();
-                    let structure = fit_structure(fold, config, &mut local);
-                    (structure, local)
-                }));
-                let structure = match outcome {
-                    Ok((structure, local)) => {
-                        if !local.is_empty() {
-                            relock(&cell.faults[FAULT_SLOT_STRUCTURE]).extend(local);
-                        }
-                        match structure {
-                            Some(s) => s,
-                            None => return,
-                        }
-                    }
-                    Err(payload) => {
-                        relock(&cell.faults[FAULT_SLOT_STRUCTURE]).push(panic_fault(
-                            fold.cluster,
-                            "structural fit",
-                            &pool::panic_message(&*payload),
-                        ));
-                        return;
-                    }
-                };
-                let num_segments = structure.fit.num_segments();
-                let breakpoints = structure.breakpoints.clone();
-                *relock(&cell.slopes[CounterKind::Instructions.index()]) =
-                    structure.fit.slopes().to_vec();
-                *relock(&cell.structure) = Some(structure);
-                let others: Vec<CounterKind> = CounterKind::ALL
-                    .into_iter()
-                    .filter(|k| *k != CounterKind::Instructions)
-                    .collect();
-                if others.is_empty() {
-                    finish_cell(cell, fold, config);
-                    return;
-                }
-                cell.remaining.store(others.len(), Ordering::SeqCst);
-                for kind in others {
-                    let bps = breakpoints.clone();
-                    sp.spawn(move |_| {
-                        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                            let mut local = Vec::new();
-                            let slopes = refit_counter(
-                                fold,
-                                kind,
-                                &bps,
-                                num_segments,
-                                config,
-                                &mut local,
-                            );
-                            (slopes, local)
-                        }));
-                        let slopes = match outcome {
-                            Ok((slopes, local)) => {
-                                if !local.is_empty() {
-                                    relock(&cell.faults[fault_slot_for(kind)]).extend(local);
-                                }
-                                slopes
-                            }
-                            Err(payload) => {
-                                relock(&cell.faults[fault_slot_for(kind)]).push(
-                                    panic_fault(
-                                        fold.cluster,
-                                        "counter refit",
-                                        &pool::panic_message(&*payload),
-                                    )
-                                    .on_counter(kind),
-                                );
-                                vec![0.0; num_segments]
-                            }
-                        };
-                        *relock(&cell.slopes[kind.index()]) = slopes;
-                        if cell.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            finish_cell(cell, fold, config);
-                        }
-                    });
-                }
-            })
-        })
-        .collect();
-    let pool_panics: Vec<TaskPanic> = pool::run(threads, seeds);
-
-    // Drain per-fold fault slots in deterministic (fold, stage) order.
-    let mut models = Vec::new();
-    for cell in cells {
-        for slot in &cell.faults {
-            report.faults.extend(std::mem::take(&mut *relock(slot)));
-        }
-        if let Some(model) = relock(&cell.out).take() {
-            models.push(model);
-        }
-    }
-    // Backstop: panics that escaped the per-stage isolation above (e.g. in
-    // the scheduling glue itself). Appended last because their order is
-    // scheduling-dependent; on the expected path this is empty.
-    for p in pool_panics {
-        report.push(Fault::new(
-            FaultKind::TaskPanicked,
-            format!("pool worker {} isolated a panic: {}", p.worker, p.message),
-        ));
-    }
     (models, report)
 }
 
@@ -555,10 +365,9 @@ fn refit_counter(
     }
 }
 
-/// Fits one cluster's folded profiles into a phase model, sequentially,
-/// with each stage's panics isolated and every quarantine recorded in
-/// `faults` — in exactly the (structure, counters-by-index, assembly)
-/// order the parallel path's fault slots drain in.
+/// Fits one cluster's folded profiles into a phase model, with each
+/// stage's panics isolated and every quarantine recorded in `faults` in
+/// (structure, counters-by-index, assembly) order.
 pub(crate) fn build_model_checked(
     fold: &ClusterFold,
     config: &AnalysisConfig,
@@ -578,7 +387,7 @@ pub(crate) fn build_model_checked(
             faults.push(panic_fault(
                 fold.cluster,
                 "structural fit",
-                &pool::panic_message(&*payload),
+                &panic_message(&*payload),
             ));
             return None;
         }
@@ -611,7 +420,7 @@ pub(crate) fn build_model_checked(
                         panic_fault(
                             fold.cluster,
                             "counter refit",
-                            &pool::panic_message(&*payload),
+                            &panic_message(&*payload),
                         )
                         .on_counter(kind),
                     );
@@ -628,14 +437,12 @@ pub(crate) fn build_model_checked(
             faults.push(panic_fault(
                 fold.cluster,
                 "model assembly",
-                &pool::panic_message(&*payload),
+                &panic_message(&*payload),
             ));
             None
         }
     }
 }
-
-
 
 /// Stage 3: spans, rates, source attribution, and the optional bootstrap.
 fn assemble_model(
@@ -784,34 +591,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_pool_matches_sequential_bit_for_bit() {
-        // The work-stealing pool schedules per-fold and per-counter items in
-        // a nondeterministic order, but every task writes only its own slot:
-        // the analysis must be identical to the single-threaded path.
-        let params = SyntheticParams { iterations: 300, ..SyntheticParams::default() };
-        let program = build(&params);
+    /// A 4-rank amg trace (seven clusters, three of them too sparse to
+    /// fit) and the same trace with `phasefold_chaos` NaN-corrupting the
+    /// samples of one kernel, parsed leniently.
+    fn amg_clean_and_with_one_corrupted_kernel() -> (Trace, Trace) {
+        use phasefold_chaos::{corrupt_trace_text, ChaosConfig};
+        use phasefold_simapp::workloads::amg::{build as build_amg, AmgParams};
+        let program = build_amg(&AmgParams::default());
         let out = simulate(&program, &SimConfig { ranks: 4, ..SimConfig::default() });
-        let tracer = TracerConfig { overhead: OverheadConfig::FREE, ..TracerConfig::default() };
-        let trace = trace_run(&program.registry, &out.timelines, &tracer);
-        let seq_cfg = AnalysisConfig { threads: Some(1), ..AnalysisConfig::default() };
-        let par_cfg = AnalysisConfig { threads: Some(4), ..AnalysisConfig::default() };
-        let seq = analyze_trace(&trace, &seq_cfg);
-        let par = analyze_trace(&trace, &par_cfg);
-        assert_eq!(seq.models.len(), par.models.len());
-        for (a, b) in seq.models.iter().zip(&par.models) {
-            assert_eq!(a.cluster, b.cluster);
-            assert_eq!(a.breakpoints(), b.breakpoints());
-            assert_eq!(a.phases.len(), b.phases.len());
-            for (pa, pb) in a.phases.iter().zip(&b.phases) {
-                assert_eq!(pa.x0.to_bits(), pb.x0.to_bits());
-                assert_eq!(pa.x1.to_bits(), pb.x1.to_bits());
-                for kind in CounterKind::ALL {
-                    assert_eq!(pa.rates[kind].to_bits(), pb.rates[kind].to_bits());
-                }
-                assert_eq!(pa.source, pb.source);
-            }
-        }
+        let trace = trace_run(&program.registry, &out.timelines, &TracerConfig::default());
+        let text = phasefold_model::prv::write_trace(&trace);
+        let (victim, _) = trace
+            .registry
+            .iter()
+            .find(|(_, r)| r.name == "vcycle/smooth_l1")
+            .expect("amg has a level-1 smoother");
+        let leaf = format!(";{}@", victim.0);
+        let hit = |line: &str| line.starts_with("S ") && line.contains(&leaf);
+        let victim_lines: String =
+            text.lines().filter(|l| hit(l)).map(|l| format!("{l}\n")).collect();
+        let chaos = ChaosConfig { nan: 0.3, ..ChaosConfig::clean(11) };
+        let (corrupted, stats) = corrupt_trace_text(&victim_lines, &chaos);
+        assert!(stats.nan_injected > 0, "{stats:?}");
+        let mut corrupted = corrupted.lines();
+        let text: String = text
+            .lines()
+            .map(|l| if hit(l) { corrupted.next().expect("one line per line") } else { l })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        (trace, phasefold_model::prv::parse_trace_lenient(&text).expect("readable").0)
+    }
+
+    #[test]
+    fn a_corrupted_fold_leaves_the_other_folds_untouched() {
+        // The corruption quarantines counters of one fold (error faults);
+        // every other fold's model equals the clean run's bit for bit, and
+        // the degenerate folds report the same warnings in fold order.
+        // `{:?}` prints every f64 in its shortest round-trip form, so equal
+        // text is equal bits.
+        let (clean, corrupted) = amg_clean_and_with_one_corrupted_kernel();
+        let clean = analyze_trace(&clean, &AnalysisConfig::default());
+        let dirty = analyze_trace(&corrupted, &AnalysisConfig::default());
+        assert!(clean.clustering.num_clusters >= 3 && clean.models.len() >= 2);
+        assert_eq!(clean.clustering.labels, dirty.clustering.labels);
+        let mut victims: Vec<_> = dirty
+            .faults
+            .faults
+            .iter()
+            .filter(|f| f.severity == Severity::Error)
+            .filter_map(|f| f.provenance.cluster)
+            .collect();
+        victims.dedup();
+        assert_eq!(victims.len(), 1, "{:?}", dirty.faults);
+        let others = |a: &Analysis| {
+            let models: Vec<_> = a.models.iter().filter(|m| m.cluster != victims[0]).collect();
+            let warnings: Vec<_> =
+                a.faults.faults.iter().filter(|f| f.severity == Severity::Warning).collect();
+            format!("{models:?} {warnings:?}")
+        };
+        assert!(clean.faults.faults.iter().all(|f| f.severity == Severity::Warning));
+        assert!(!clean.faults.is_empty(), "the sparse folds report warnings");
+        assert!(others(&clean) == others(&dirty), "an untouched fold changed");
+    }
+
+    #[test]
+    fn panic_message_renders_any_payload() {
+        let message = |payload: Box<dyn Any + Send>| panic_message(&*payload);
+        assert_eq!(message(Box::new("static str")), "static str");
+        assert_eq!(message(Box::new(String::from("owned"))), "owned");
+        assert_eq!(message(Box::new(42_u32)), "<non-string panic payload>");
     }
 
     #[test]

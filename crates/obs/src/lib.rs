@@ -14,7 +14,7 @@
 //! ([`set_enabled`]). Every instrumentation site — [`span!`], [`counter!`],
 //! [`gauge!`] — first performs a single `Relaxed` load of that flag and
 //! does nothing else when observability is off, so instrumentation inside
-//! pool workers costs ~a nanosecond per site when disabled. Span names are
+//! worker threads costs ~a nanosecond per site when disabled. Span names are
 //! built through a closure the macro wraps around the format arguments, so
 //! even the `format!` allocation is skipped on the disabled path.
 //!

@@ -69,7 +69,7 @@ fn lock_registry() -> MutexGuard<'static, Registry> {
 static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
 
 /// Thread-local span buffer; its destructor flushes whatever is left when
-/// the thread exits, so pool workers never lose spans.
+/// the thread exits, so worker threads never lose spans.
 struct ThreadBuf {
     lane: u32,
     buf: Vec<SpanEvent>,
@@ -104,7 +104,7 @@ thread_local! {
 }
 
 /// Names the calling thread's lane in exported traces (e.g.
-/// `pool-worker-3`). Last registration for a lane wins.
+/// `serve-worker-3`). Last registration for a lane wins.
 pub fn set_lane_name(name: &str) {
     let lane = TLS.with(|t| t.borrow().lane);
     let mut reg = lock_registry();

@@ -2,7 +2,7 @@
 //!
 //! A [`TraceCtx`] is minted once per request (a monotonic, process-unique
 //! trace id) and carried by value across thread boundaries: a server
-//! accept loop mints it, queue jobs and pool workers [`TraceCtx::adopt`]
+//! accept loop mints it, queue jobs [`TraceCtx::adopt`]
 //! it, and every [`crate::span!`] opened while a context is adopted is
 //! stamped with the trace id plus a parent/child span-id pair. Spans
 //! recorded on different threads therefore reassemble into one tree per
@@ -63,7 +63,7 @@ fn lock_sink() -> MutexGuard<'static, HashMap<u64, CaptureBuf>> {
 /// under which new spans on the adopting thread should parent themselves.
 ///
 /// `Copy` on purpose — the context is designed to be captured by `move`
-/// closures that hop threads (queue jobs, pool workers).
+/// closures that hop threads (queue jobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     trace_id: u64,

@@ -5,8 +5,8 @@
 //! rejects immediately (the server turns that into `503` +
 //! `Retry-After`), so a burst of submissions degrades into backpressure
 //! instead of unbounded memory growth. Each job runs under
-//! `catch_unwind`, mirroring the panic isolation of `phasefold::pool`:
-//! one poisoned trace cannot take a worker (or the daemon) down.
+//! `catch_unwind`, as each analysis stage does inside the pipeline: one
+//! poisoned trace cannot take a worker (or the daemon) down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -37,12 +37,11 @@
 //!
 //! Every request is minted a [`phasefold_obs::trace::TraceCtx`] whose
 //! trace id doubles as the `x-request-id` response header. The context is
-//! adopted for the routing call, propagated into queue jobs (and from
-//! there into `core::pool` workers), so spans from every thread that
-//! touched the request reassemble into one tree. Requests selected by
-//! `trace_sample_rate` additionally capture their span tree; completed
-//! requests land in the [`FlightRecorder`] and, per endpoint, in
-//! always-on lock-free latency histograms (`serve.latency.*`,
+//! adopted for the routing call and propagated into queue jobs, so spans
+//! from every thread that touched the request reassemble into one tree.
+//! Requests selected by `trace_sample_rate` additionally capture their
+//! span tree; completed requests land in the [`FlightRecorder`] and, per
+//! endpoint, in always-on lock-free latency histograms (`serve.latency.*`,
 //! `serve.queue_wait`, `serve.analyze_time`, `serve.cache_lookup`).
 
 use crate::cache::{BodyKey, Cached, ResultCache};
@@ -74,7 +73,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (tests, scripts).
     pub addr: String,
-    /// Worker threads executing analysis jobs.
+    /// Worker threads executing analysis jobs: the daemon's one level of
+    /// parallelism (each job analyses on its worker thread alone).
     pub workers: usize,
     /// Jobs the queue holds beyond the ones executing; the backpressure
     /// bound.

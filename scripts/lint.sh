@@ -2,9 +2,9 @@
 # Lint gate for the fault-critical paths.
 #
 # The files where a stray unwrap can take down a whole analysis —
-# crates/core/src/pipeline.rs, crates/core/src/pool.rs, and
-# crates/model/src/prv.rs — carry file-scoped
-# `#![deny(clippy::unwrap_used, clippy::expect_used)]` attributes, and
+# crates/core/src/pipeline.rs and crates/model/src/prv.rs — carry
+# file-scoped `#![deny(clippy::unwrap_used, clippy::expect_used)]`
+# attributes, and
 # phasefold-serve denies them crate-wide (a panic on a connection thread
 # kills a live client; the daemon must never unwrap request-derived data).
 # That crate-wide deny deliberately covers the durability layer —

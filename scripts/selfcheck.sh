@@ -3,8 +3,8 @@
 #
 # Builds the CLI in release mode and runs `phasefold selfcheck`: a canned
 # synthetic workload pushed through simulate -> trace -> analyze with
-# observability recording on, printing per-stage timings and pool
-# utilization. Exits non-zero if the pipeline produces no models.
+# observability recording on, printing per-stage timings and kernel
+# counters. Exits non-zero if the pipeline produces no models.
 #
 # The run also exports the same snapshot as JSON (--metrics) and
 # Prometheus text (--prom) and asserts the two renderings agree: every
@@ -15,7 +15,7 @@
 #
 # Usage:
 #   scripts/selfcheck.sh                 # default canned workload
-#   scripts/selfcheck.sh --threads 4     # extra args forwarded to selfcheck
+#   scripts/selfcheck.sh --ranks 8       # extra args forwarded to selfcheck
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
