@@ -1,4 +1,7 @@
-//! Criterion micro-bench: kd-tree build + range query vs brute-force scan.
+//! Criterion micro-bench: kd-tree build + range query vs brute-force scan,
+//! and the k-dist curve behind DBSCAN's ε on uniform points and on points
+//! tied on one axis (as the bursts of an SPMD phase are: one instruction
+//! count for every burst).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phasefold_cluster::KdTree;
@@ -47,5 +50,29 @@ fn bench_kdtree(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kdtree);
+/// `points(n)` with the second coordinate replaced by one value, or by one
+/// of two values 0.01 apart.
+fn tied(n: usize, levels: u32) -> Vec<[f64; 2]> {
+    points(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, [a, _])| [a, 0.5 + f64::from(i as u32 % levels) * 0.01])
+        .collect()
+}
+
+fn bench_k_dist(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kdtree_k_dist");
+    for &n in &[1000usize, 10_000] {
+        for (shape, pts) in
+            [("uniform", points(n)), ("y_constant", tied(n, 1)), ("y_two_valued", tied(n, 2))]
+        {
+            group.bench_with_input(BenchmarkId::new(shape, n), &n, |b, _| {
+                b.iter(|| KdTree::k_dist(&pts, 4))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kdtree, bench_k_dist);
 criterion_main!(benches);

@@ -190,9 +190,11 @@ pub fn suggest_eps<const D: usize>(points: &[[f64; D]], min_pts: usize, quantile
     if kd.is_empty() {
         return 1.0;
     }
-    kd.sort_by(|a, b| a.total_cmp(b));
+    // The element a full sort would put at `pos`: under `total_cmp` equal
+    // means bit-identical, so selection picks the same value.
     let pos = ((kd.len() - 1) as f64 * quantile.clamp(0.0, 1.0)) as usize;
-    (kd[pos] * 1.05).max(1e-12)
+    let (_, at, _) = kd.select_nth_unstable_by(pos, |a, b| a.total_cmp(b));
+    (*at * 1.05).max(1e-12)
 }
 
 #[cfg(test)]
@@ -294,6 +296,25 @@ mod tests {
         let res = dbscan::<2>(&[], &DbscanParams { eps: 0.1, min_pts: 2 });
         assert_eq!(res.num_clusters, 0);
         assert!(res.labels.is_empty());
+    }
+
+    #[test]
+    fn nan_features_do_not_hide_finite_neighbours() {
+        let nan = f64::NAN;
+        let pts = [[1.0, 0.0], [1.0, 0.0], [nan, 0.0], [nan, 0.0], [nan, 0.0]];
+        let res = dbscan(&pts, &DbscanParams { eps: 0.1, min_pts: 2 });
+        assert_eq!(res.labels, vec![Some(0), Some(0), None, None, None]);
+    }
+
+    #[test]
+    fn suggested_eps_reads_the_sorted_quantile() {
+        let pts = blobs();
+        let mut kd = KdTree::k_dist(&pts, 4);
+        kd.sort_by(|a, b| a.total_cmp(b));
+        for q in [0.0, 0.3, 0.9, 1.0] {
+            let pos = ((kd.len() - 1) as f64 * q) as usize;
+            assert_eq!(suggest_eps(&pts, 4, q).to_bits(), (kd[pos] * 1.05).to_bits());
+        }
     }
 
     #[test]

@@ -1,25 +1,42 @@
 //! A k-d tree over fixed-dimension points, supporting ε-range queries,
 //! DBSCAN's early-exit core counts and claim queries (`Claims`), and
 //! the k-NN distances behind the ε heuristic. Built once over all points
-//! (median split), queried many times; no external dependencies.
+//! (median split on each subtree's widest axis), queried many times; no
+//! external dependencies.
 //!
 //! The tree is stored as one flat, left-balanced array of nodes: the
 //! subtree over `lo..hi` has its root at `(lo + hi) / 2`, children in the
 //! two halves. No child pointers exist — the index arithmetic *is* the
-//! structure — so a node is exactly its point plus the original index,
-//! packed contiguously. Range and k-NN queries walk the array iteratively
-//! with a small explicit stack; no recursion, no per-query allocation
-//! (callers can reuse result buffers via [`KdTree::within_into`]).
+//! structure — so a node is exactly its point, the original index and the
+//! axis it splits on, packed contiguously. Each subtree splits on the axis
+//! along which its points spread widest: burst features often tie on one
+//! axis (every burst of an SPMD phase retires the same instruction count),
+//! and a split on a tied axis separates nothing. Range and k-NN queries
+//! walk the array iteratively with a small explicit stack; no recursion,
+//! no per-query allocation (callers can reuse result buffers via
+//! [`KdTree::within_into`]). A k-NN frame carries a lower bound on the
+//! squared distance to its subtree and is checked against the current
+//! k-th distance again when it is popped, since the neighbour set may have
+//! filled since it was pushed.
+//!
+//! Non-finite coordinates keep every query exact. A NaN offset from a
+//! splitting plane orders nothing, so the walk searches both halves; a NaN
+//! distance matches no `dist² <= eps²` test and never enters a k-NN list.
+//! [`KdTree::k_dist`] therefore gives each point the k-th smallest non-NaN
+//! distance to another point, or +∞ when there are fewer than `k`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-/// One node of the flat tree: the point, plus the index it had in the
-/// build input. `u32` keeps the node at 3 machine words for `D = 2` —
-/// the burst sets this crate clusters never approach 4 G points.
+/// One node of the flat tree: the point, the index it had in the build
+/// input, and the axis its subtree splits on. `u32` and `u8` share the
+/// padding after the point, so the node stays at 3 machine words for
+/// `D = 2` — the burst sets this crate clusters never approach 4 G points.
 #[derive(Debug, Clone, Copy)]
 struct KdNode<const D: usize> {
     point: [f64; D],
     original: u32,
+    /// Split axis of the subtree this node roots; unused at a leaf.
+    axis: u8,
 }
 
 /// How a range walk goes on after visiting a node.
@@ -45,17 +62,17 @@ pub struct KdTree<const D: usize> {
 }
 
 impl<const D: usize> KdTree<D> {
-    /// Builds a balanced tree (median splits) over `points`.
+    /// Builds a balanced tree (median splits on each subtree's widest
+    /// axis) over `points`.
     pub fn build(points: &[[f64; D]]) -> KdTree<D> {
         assert!(points.len() <= u32::MAX as usize, "point count exceeds u32 index space");
+        assert!(D <= usize::from(u8::MAX), "dimension exceeds u8 axis space");
         let mut nodes: Vec<KdNode<D>> = points
             .iter()
             .enumerate()
-            .map(|(i, &point)| KdNode { point, original: i as u32 })
+            .map(|(i, &point)| KdNode { point, original: i as u32, axis: 0 })
             .collect();
-        if !nodes.is_empty() {
-            build_in_place(&mut nodes, 0);
-        }
+        build_in_place(&mut nodes);
         KdTree { nodes }
     }
 
@@ -96,7 +113,7 @@ impl<const D: usize> KdTree<D> {
     /// [`KdTree::within_into`], so `count_within(q, eps, m) >= m` exactly
     /// when `within(q, eps).len() >= m` — DBSCAN's core test without the
     /// full neighbourhood. Adds the nodes it visits to `visited`.
-    pub(crate) fn count_within(
+    pub fn count_within(
         &self,
         query: &[f64; D],
         eps: f64,
@@ -120,7 +137,8 @@ impl<const D: usize> KdTree<D> {
 
     /// The ε-range walk behind every range query: depth first, near half
     /// before far half, and the far half only when its splitting plane is
-    /// within `eps` (squared compare — no sqrt). `visit` sees each node
+    /// within `eps` (squared compare — no sqrt) or the offset from it is
+    /// NaN, which rules nothing out. `visit` sees each node
     /// reached, with whether its point lies within `eps` (inclusive), and
     /// steers the walk. Returns the number of nodes visited, not counting
     /// those answered with [`Step::Prune`].
@@ -130,12 +148,12 @@ impl<const D: usize> KdTree<D> {
             return visited;
         }
         let eps2 = eps * eps;
-        let mut stack = [(0usize, 0usize, 0usize); MAX_STACK];
-        stack[0] = (0, self.nodes.len(), 0);
+        let mut stack = [(0usize, 0usize); MAX_STACK];
+        stack[0] = (0, self.nodes.len());
         let mut top = 1;
         while top > 0 {
             top -= 1;
-            let (lo, hi, axis) = stack[top];
+            let (lo, hi) = stack[top];
             let mid = lo + (hi - lo) / 2;
             let node = &self.nodes[mid];
             match visit(mid, dist2(&node.point, query) <= eps2) {
@@ -143,17 +161,16 @@ impl<const D: usize> KdTree<D> {
                 Step::Stop => return visited + 1,
                 Step::Descend => visited += 1,
             }
-            let next_axis = (axis + 1) % D;
-            let (near, far, delta) = halves(query, &node.point, axis, lo, mid, hi);
+            let (near, far, delta) = halves(query, node, lo, mid, hi);
             debug_assert!(top + 2 <= MAX_STACK);
-            if far.0 < far.1 && delta * delta <= eps2 {
-                stack[top] = (far.0, far.1, next_axis);
+            if far.0 < far.1 && (delta * delta <= eps2 || delta.is_nan()) {
+                stack[top] = far;
                 top += 1;
             }
             // Pushed last, popped first: preserves the recursive
             // near-side-first visit order.
             if near.0 < near.1 {
-                stack[top] = (near.0, near.1, next_axis);
+                stack[top] = near;
                 top += 1;
             }
         }
@@ -165,7 +182,9 @@ impl<const D: usize> KdTree<D> {
     /// queries against the tree — O(n log n) on blob-structured data where
     /// the old all-pairs scan was O(n² log n) — and returns exactly the
     /// values the brute force would: the k-th smallest distance is a
-    /// multiset statistic, indifferent to tie order.
+    /// multiset statistic, indifferent to tie order. NaN distances do not
+    /// count; a point with fewer than `k` others at a non-NaN distance
+    /// gets +∞.
     pub fn k_dist(points: &[[f64; D]], k: usize) -> Vec<f64> {
         let n = points.len();
         let k = k.max(1);
@@ -180,51 +199,62 @@ impl<const D: usize> KdTree<D> {
     }
 
     /// Exact k-nearest-neighbour squared distances from `query`, skipping
-    /// the point whose original index is `skip`. `best` (reused across
-    /// calls) ends sorted ascending with at most `k` entries.
+    /// the point whose original index is `skip` and every NaN distance.
+    /// `best` (reused across calls) ends sorted ascending with at most `k`
+    /// entries.
     fn knn_excluding(&self, skip: usize, query: &[f64; D], k: usize, best: &mut Vec<f64>) {
         best.clear();
         if self.nodes.is_empty() {
             return;
         }
         let mut visited = 0u64;
-        let mut stack = [(0usize, 0usize, 0usize); MAX_STACK];
-        stack[0] = (0, self.nodes.len(), 0);
+        // Each frame: a subtree `lo..hi` and a lower bound on the squared
+        // distance from `query` to any of its points.
+        let mut stack = [(0usize, 0usize, 0.0f64); MAX_STACK];
+        stack[0] = (0, self.nodes.len(), 0.0);
         let mut top = 1;
         while top > 0 {
             top -= 1;
-            let (lo, hi, axis) = stack[top];
+            let (lo, hi, bound) = stack[top];
+            // Replacing the k-th needs `d2 < best[k - 1]`, and no point of
+            // the subtree is nearer than `bound`: once that bound reaches
+            // the k-th distance, the subtree holds nothing that could win.
+            // The set may have filled since the frame was pushed, so the
+            // push-time test is made again here.
+            if best.len() == k && bound >= best[k - 1] {
+                continue;
+            }
             let mid = lo + (hi - lo) / 2;
             let node = &self.nodes[mid];
             visited += 1;
             if node.original as usize != skip {
                 let d2 = dist2(&node.point, query);
                 if best.len() < k {
-                    let pos = best.partition_point(|&b| b <= d2);
-                    best.insert(pos, d2);
+                    if !d2.is_nan() {
+                        let pos = best.partition_point(|&b| b <= d2);
+                        best.insert(pos, d2);
+                    }
                 } else if d2 < best[k - 1] {
                     best.pop();
                     let pos = best.partition_point(|&b| b <= d2);
                     best.insert(pos, d2);
                 }
             }
-            let next_axis = (axis + 1) % D;
-            let (near, far, delta) = halves(query, &node.point, axis, lo, mid, hi);
-            // The far half can only matter while the neighbour set is not
-            // full, or when the splitting plane is strictly nearer than the
-            // current k-th distance. Every far point is at least `delta²`
-            // away and replacing the k-th needs `d2 < best[k - 1]`, so a
-            // plane at exactly that distance holds nothing that could win:
-            // skipping it stays exact and spares the visits that ties on
-            // the plane (exact duplicate points) used to force.
-            let explore_far = best.len() < k || delta * delta < best[k - 1];
+            let (near, far, delta) = halves(query, node, lo, mid, hi);
+            // Every far point is at least `delta²` away as well as at least
+            // `bound`. A plane at exactly the k-th distance holds nothing
+            // that could win, so the strict test stays exact and spares the
+            // visits that ties on the plane (exact duplicate points) would
+            // force. `f64::max` ignores a NaN offset: the far half then
+            // keeps the frame's bound and is searched like the near half.
+            let far_bound = bound.max(delta * delta);
             debug_assert!(top + 2 <= MAX_STACK);
-            if far.0 < far.1 && explore_far {
-                stack[top] = (far.0, far.1, next_axis);
+            if far.0 < far.1 && (best.len() < k || far_bound < best[k - 1]) {
+                stack[top] = (far.0, far.1, far_bound);
                 top += 1;
             }
             if near.0 < near.1 {
-                stack[top] = (near.0, near.1, next_axis);
+                stack[top] = (near.0, near.1, bound);
                 top += 1;
             }
         }
@@ -326,18 +356,19 @@ fn fill_live(live: &mut [u32], lo: usize, hi: usize) {
     fill_live(live, mid + 1, hi);
 }
 
-/// The near and far halves of node `mid`'s range `lo..hi` as seen from
-/// `query`, and `query`'s signed offset from the splitting plane along
-/// `axis`. A query on the plane takes the left half as near.
+/// The near and far halves of `node`'s range `lo..hi` (`node` sits at
+/// `mid`) as seen from `query`, and `query`'s signed offset from the
+/// node's splitting plane. A query on the plane takes the left half as
+/// near, a NaN offset the right.
 fn halves<const D: usize>(
     query: &[f64; D],
-    point: &[f64; D],
-    axis: usize,
+    node: &KdNode<D>,
     lo: usize,
     mid: usize,
     hi: usize,
 ) -> ((usize, usize), (usize, usize), f64) {
-    let delta = query[axis] - point[axis];
+    let axis = usize::from(node.axis);
+    let delta = query[axis] - node.point[axis];
     if delta <= 0.0 {
         ((lo, mid), (mid + 1, hi), delta)
     } else {
@@ -345,21 +376,43 @@ fn halves<const D: usize>(
     }
 }
 
-/// Recursive in-place build: median-partition the node slice along the
-/// axis (`select_nth_unstable_by` — O(n) per level, no allocation, unlike
-/// the full sort + three fresh vectors per level this replaces), then
-/// recurse into the halves. Depth is log₂(n): the median split is exact.
-fn build_in_place<const D: usize>(nodes: &mut [KdNode<D>], axis: usize) {
+/// Recursive in-place build: median-partition the node slice along its
+/// widest axis (`select_nth_unstable_by` — O(n) per level, no
+/// allocation), record that axis in the median node, then recurse into the
+/// halves. Depth is log₂(n): the median split is exact.
+fn build_in_place<const D: usize>(nodes: &mut [KdNode<D>]) {
     let n = nodes.len();
     if n <= 1 {
         return;
     }
+    let axis = widest_axis(nodes);
     let mid = n / 2;
     nodes.select_nth_unstable_by(mid, |a, b| a.point[axis].total_cmp(&b.point[axis]));
-    let next = (axis + 1) % D;
+    nodes[mid].axis = axis as u8;
     let (left, rest) = nodes.split_at_mut(mid);
-    build_in_place(left, next);
-    build_in_place(&mut rest[1..], next);
+    build_in_place(left);
+    build_in_place(&mut rest[1..]);
+}
+
+/// The axis along which `nodes` spread widest (max − min; `f64::min` and
+/// `f64::max` skip NaN coordinates). Ties and NaN spreads go to the
+/// lowest axis.
+fn widest_axis<const D: usize>(nodes: &[KdNode<D>]) -> usize {
+    let mut lo = [f64::NAN; D];
+    let mut hi = [f64::NAN; D];
+    for node in nodes {
+        for d in 0..D {
+            lo[d] = lo[d].min(node.point[d]);
+            hi[d] = hi[d].max(node.point[d]);
+        }
+    }
+    let mut axis = 0;
+    for d in 1..D {
+        if hi[d] - lo[d] > hi[axis] - lo[axis] {
+            axis = d;
+        }
+    }
+    axis
 }
 
 fn dist2<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
@@ -391,6 +444,7 @@ mod tests {
             let mut dists: Vec<f64> = (0..n)
                 .filter(|&j| j != i)
                 .map(|j| dist2(&points[i], &points[j]).sqrt())
+                .filter(|d| !d.is_nan())
                 .collect();
             dists.sort_by(|a, b| a.total_cmp(b));
             out.push(dists.get(k.saturating_sub(1)).copied().unwrap_or(f64::INFINITY));
@@ -578,6 +632,60 @@ mod tests {
         claims.claim_within(&pts[0], 10.0, &mut got, &mut visited);
         assert!(got.is_empty());
         assert_eq!(visited, before);
+    }
+
+    #[test]
+    fn node_stays_three_words() {
+        assert_eq!(std::mem::size_of::<KdNode<2>>(), 24);
+    }
+
+    #[test]
+    fn splits_on_the_widest_axis() {
+        // x tied: every split must go to y, so the root is the y median.
+        let tied_x: Vec<[f64; 2]> = (0..9).map(|i| [0.5, f64::from(i)]).collect();
+        let tree = KdTree::build(&tied_x);
+        assert_eq!(tree.nodes[4].axis, 1);
+        assert_eq!(tree.nodes[4].point, [0.5, 4.0]);
+        // y tied: x, as it is on a tie of the spreads.
+        let tied_y: Vec<[f64; 2]> = (0..9).map(|i| [f64::from(i), 0.5]).collect();
+        assert_eq!(KdTree::build(&tied_y).nodes[4].axis, 0);
+        let square = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]];
+        assert_eq!(KdTree::build(&square).nodes[2].axis, 0);
+    }
+
+    #[test]
+    fn nan_split_point_still_finds_neighbours() {
+        // The root splits on a NaN x: the offset from its plane is NaN and
+        // must send the walk into both halves.
+        let pts = [[1.0, 0.0], [f64::NAN, 0.0], [f64::NAN, 0.0]];
+        let tree = KdTree::build(&pts);
+        assert_eq!(tree.within(&[1.0, 0.0], 0.1), vec![0]);
+        let mut visited = 0;
+        assert_eq!(tree.count_within(&[1.0, 0.0], 0.1, 5, &mut visited), 1);
+        assert!(tree.within(&[f64::NAN, 0.0], 10.0).is_empty());
+    }
+
+    #[test]
+    fn k_dist_skips_nan_distances() {
+        let nan = f64::NAN;
+        let pts = [[1.0, 0.0], [1.0, 0.0], [nan, 0.0], [nan, 0.0], [nan, 0.0]];
+        let inf = f64::INFINITY;
+        assert_eq!(KdTree::k_dist(&pts, 1), vec![0.0, 0.0, inf, inf, inf]);
+        assert_eq!(KdTree::k_dist(&pts, 2), vec![inf; 5]);
+    }
+
+    #[test]
+    fn k_dist_with_infinite_coordinates() {
+        let inf = f64::INFINITY;
+        let mut pts = vec![[inf, 0.2], [0.3, -inf], [inf, inf], [f64::NAN, 0.4], [0.3, 0.3]];
+        pts.extend(pseudo_points(40));
+        for k in [1, 2, 4] {
+            let fast = KdTree::k_dist(&pts, k);
+            let slow = brute_k_dist(&pts, k);
+            for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(f.to_bits(), s.to_bits(), "k = {k} point {i}: tree {f} vs brute {s}");
+            }
+        }
     }
 
     #[test]

@@ -105,6 +105,28 @@ proptest! {
         assert_same(&points, eps, min_pts);
     }
 
+    /// One axis constant or two-valued (the bursts of an SPMD phase retire
+    /// the same instruction count), the other quantised; `swap` moves the
+    /// tied coordinate to the first axis.
+    #[test]
+    fn tied_axis(
+        cells in proptest::collection::vec((0u32..60, 0u32..2), 1..300),
+        y0 in 0.0f64..1.0,
+        gap in prop_oneof![Just(0.0), Just(0.015), 0.001f64..0.1],
+        swap in 0u32..2,
+        eps in prop_oneof![Just(0.01), Just(0.02), 0.002f64..0.05],
+        min_pts in 1usize..9,
+    ) {
+        let points: Vec<[f64; 2]> = cells
+            .iter()
+            .map(|&(x, high)| {
+                let p = [f64::from(x) * 0.004, y0 + f64::from(high) * gap];
+                if swap == 1 { [p[1], p[0]] } else { p }
+            })
+            .collect();
+        assert_same(&points, eps, min_pts);
+    }
+
     /// The production shape: a few tight, quantised, duplicate-heavy blobs
     /// plus scattered stragglers at ε = 0.02.
     #[test]

@@ -176,9 +176,10 @@ fn build_models(
 /// structure, parked between the structural and assembly stages.
 struct FoldStructure {
     /// The (possibly NaN-filtered) x/y data the structure was fitted on,
-    /// kept only when a bootstrap is configured — it is the sole consumer,
-    /// and the profile itself already owns the unfiltered arrays.
-    data: Option<(Vec<f64>, Vec<f64>)>,
+    /// with the instance id of each point, kept only when a bootstrap is
+    /// configured — it is the sole consumer, and the profile itself
+    /// already owns the unfiltered arrays.
+    data: Option<(Vec<f64>, Vec<f64>, Vec<u64>)>,
     fit: PwlrFit,
     breakpoints: Vec<f64>,
 }
@@ -292,7 +293,7 @@ fn fit_structure(
         fit.fit.r2
     );
     // Only the bootstrap re-reads the fitted data; skip the copy otherwise.
-    let data = config.bootstrap.as_ref().map(|_| (xs.to_vec(), ys.to_vec()));
+    let data = config.bootstrap.as_ref().map(|_| (xs.to_vec(), ys.to_vec(), instr.instance_ids()));
     Some(FoldStructure { data, fit, breakpoints })
 }
 
@@ -478,11 +479,11 @@ fn assemble_model(
 
     // Optional instance-level bootstrap on the structural (instruction)
     // profile.
-    let bootstrap = config.bootstrap.as_ref().zip(data.as_ref()).and_then(|(bcfg, (xs, ys))| {
+    let bootstrap = config.bootstrap.as_ref().zip(data.as_ref()).and_then(|(bcfg, (xs, ys, ids))| {
         phasefold_regress::bootstrap_pwlr(
             xs,
             ys,
-            &fold.profile(CounterKind::Instructions).instance_ids(),
+            ids,
             &config.pwlr,
             fit.num_segments(),
             bcfg,
@@ -652,6 +653,36 @@ mod tests {
         assert!(clean.faults.faults.iter().all(|f| f.severity == Severity::Warning));
         assert!(!clean.faults.is_empty(), "the sparse folds report warnings");
         assert!(others(&clean) == others(&dirty), "an untouched fold changed");
+    }
+
+    #[test]
+    fn bootstrap_keeps_folds_whose_instruction_profile_had_nan_points() {
+        // The structural fit drops the NaN points; the bootstrap must
+        // resample the same filtered points with their own instance ids.
+        let (_, corrupted) = amg_clean_and_with_one_corrupted_kernel();
+        let plain = analyze_trace(&corrupted, &AnalysisConfig::default());
+        assert!(
+            plain.faults.faults.iter().any(|f| f.kind == FaultKind::NanSamples
+                && f.provenance.counter == Some(CounterKind::Instructions)),
+            "the corruption must reach the instruction profile: {:?}",
+            plain.faults
+        );
+        let cfg = AnalysisConfig {
+            bootstrap: Some(phasefold_regress::BootstrapConfig {
+                replicates: 20,
+                ..Default::default()
+            }),
+            ..AnalysisConfig::default()
+        };
+        let boot = analyze_trace(&corrupted, &cfg);
+        assert!(
+            boot.faults.faults.iter().all(|f| f.kind != FaultKind::TaskPanicked),
+            "{:?}",
+            boot.faults
+        );
+        let clusters = |a: &Analysis| a.models.iter().map(|m| m.cluster).collect::<Vec<_>>();
+        assert_eq!(clusters(&boot), clusters(&plain));
+        assert!(boot.models.iter().all(|m| m.bootstrap.is_some()));
     }
 
     #[test]

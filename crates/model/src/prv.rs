@@ -215,15 +215,18 @@ impl<'a> LineParser<'a> {
         f.parse().map_err(|_| self.err(format!("bad {what}: {f:?}")))
     }
 
-    fn next_f64(&mut self, what: &str) -> Result<f64, ModelError> {
-        let f = self.next(what)?;
-        f.parse().map_err(|_| self.err(format!("bad {what}: {f:?}")))
-    }
-
+    /// The ten values of a `C` line, with the errors worded as
+    /// [`Self::next_u64`] words them. The field name `counter[i]` is only
+    /// formatted on the error path: this runs for every value of every `C`
+    /// line.
     fn counter_set(&mut self) -> Result<CounterSet, ModelError> {
         let mut values = [0.0; NUM_COUNTERS];
         for (i, v) in values.iter_mut().enumerate() {
-            *v = self.next_f64(&format!("counter[{i}]"))?;
+            let f = self
+                .fields
+                .next()
+                .ok_or_else(|| self.err(format!("missing field: counter[{i}]")))?;
+            *v = f.parse().map_err(|_| self.err(format!("bad counter[{i}]: {f:?}")))?;
         }
         Ok(CounterSet::from_array(values))
     }
@@ -692,6 +695,31 @@ mod tests {
         let fatal = parse_trace_with("#NOT_A_TRACE\n", FaultPolicy::Lenient).unwrap_err();
         let lenient_fatal = parse_trace_lenient("#NOT_A_TRACE\n").unwrap_err();
         assert_eq!(fatal.to_string(), lenient_fatal.to_string());
+    }
+
+    #[test]
+    fn counter_errors_name_the_field() {
+        let cases = [
+            ("C 0 X 100 COLL 1 2 3", "missing field: counter[3]"),
+            ("C 0 E 100 COLL 0 1 2 3 4 5 6 x 8 9", "bad counter[7]: \"x\""),
+        ];
+        for (line, message) in cases {
+            let input = format!("#PHASEFOLD_TRACE v1\n#RANKS 1\n{line}\nS 0 500 - -\n");
+            assert_eq!(
+                parse_trace(&input).unwrap_err().to_string(),
+                format!("trace parse error at line 3: {message}")
+            );
+            let (t, report) = parse_trace_lenient(&input).unwrap();
+            assert_eq!(t.total_records(), 1);
+            assert_eq!(report.len(), 1);
+            assert_eq!(report.faults[0].kind, FaultKind::MalformedTrace);
+            assert_eq!(report.faults[0].provenance.line, Some(3));
+            assert_eq!(report.faults[0].detail, message);
+            assert_eq!(
+                parse_record_line(line, 9).unwrap_err().to_string(),
+                format!("trace parse error at line 9: {message}")
+            );
+        }
     }
 
     #[test]

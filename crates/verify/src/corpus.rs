@@ -81,6 +81,7 @@ pub fn replay_case(case: &Case, seed: u64) -> Vec<Divergence> {
     divergences.extend(metamorphic::check_checkpoint_roundtrip(case, seed));
     divergences.extend(metamorphic::check_reservoir_stream(case, seed));
     divergences.extend(metamorphic::check_fingerprint_roundtrip(case, seed));
+    divergences.extend(metamorphic::check_nan_samples(case, &mut rng_for(seed, 0x7A7A), seed));
     divergences
 }
 

@@ -6,6 +6,7 @@
 //! |------------------|----------|
 //! | segdp-exhaustive | SSE per segment count within `1e-6` relative (prefix sums vs direct moments round differently); returned breakpoints must describe a feasible partition whose direct SSE matches the reported one |
 //! | dbscan-brute     | exact: cluster count and every label — components numbered by lowest-index core point, each border point owned by the lowest-numbered adjacent component, noise where no core point is within ε |
+//! | suggest-eps      | bit-exact: every k-dist (the k-th smallest non-NaN distance, +∞ when there are fewer) and the ε read from them |
 //! | fold-naive       | bit-exact on every folded point and mean; the two sides evaluate the same formula in the same order |
 //! | muggeo-rowwise   | same number of refined breakpoints, each within `MUGGEO_PSI_ATOL·(hi−lo)` of the row-wise refinement (suffix sums vs row-wise Gram round differently; the update map is a contraction where Muggeo converges) |
 //! | hinge-rowwise    | fitted values at every point within `HINGE_FIT_RTOL·(1 + max|y|)` and SSE within `HINGE_SSE_RTOL·(1 + Σw·y²)` of the row-wise fit, free and monotone (NNLS) alike |
@@ -13,7 +14,7 @@
 use crate::generate::Case;
 use crate::reference;
 use crate::Divergence;
-use phasefold_cluster::{cluster_bursts, dbscan, DbscanParams};
+use phasefold_cluster::{cluster_bursts, dbscan, suggest_eps, DbscanParams, KdTree};
 use phasefold_folding::fold_trace;
 use phasefold_model::{burst::extract_bursts_checked, fault::FaultReport};
 use phasefold_regress::breakpoints::{refine_breakpoints, RefineConfig};
@@ -454,6 +455,78 @@ pub fn compare_dbscan(
         "{kind} point {i}: fast label {:?} vs reference owner {:?}",
         fast.labels[i], slow.owner[i]
     ))
+}
+
+/// Differential check: `KdTree::k_dist` and `suggest_eps` against the
+/// all-pairs reference. Half the cases take the production shape (one axis
+/// constant or two-valued, quantised duplicates); the rest are the edges:
+/// no more points than `k`, all points identical, non-finite coordinates.
+pub fn check_suggest_eps(rng: &mut StdRng, seed: u64) -> Option<Divergence> {
+    let min_pts = rng.gen_range(1usize..9);
+    let points = if rng.gen_bool(0.5) {
+        tied_axis(rng)
+    } else {
+        match rng.gen_range(0u32..3) {
+            0 => (0..rng.gen_range(1..min_pts + 2))
+                .map(|_| [rng.gen_range(0.0f64..1.0), rng.gen_range(0.0f64..1.0)])
+                .collect(),
+            1 => vec![[rng.gen_range(0.0f64..1.0), 0.5]; rng.gen_range(1usize..40)],
+            _ => non_finite(rng),
+        }
+    };
+    let quantile = if rng.gen_bool(0.5) { 0.90 } else { rng.gen_range(0.0f64..1.0) };
+    let diverged = |detail: String| Divergence {
+        check: "suggest-eps",
+        seed,
+        detail: format!("{detail} (n={}, min_pts={min_pts}, quantile={quantile})", points.len()),
+        repro: None,
+    };
+    let fast = KdTree::k_dist(&points, min_pts);
+    let slow = reference::brute_k_dist(&points, min_pts);
+    if let Some(i) = (0..points.len()).find(|&i| fast[i].to_bits() != slow[i].to_bits()) {
+        return Some(diverged(format!(
+            "k-dist of point {i} {:?}: tree {} vs all-pairs {}",
+            points[i], fast[i], slow[i]
+        )));
+    }
+    let fast = suggest_eps(&points, min_pts, quantile);
+    let slow = reference::brute_suggest_eps(&points, min_pts, quantile);
+    (fast.to_bits() != slow.to_bits())
+        .then(|| diverged(format!("eps: production {fast} vs reference {slow}")))
+}
+
+/// Burst features as SPMD phases give them: one axis takes one or two
+/// values, the other is quantised so duplicates are common; which axis is
+/// tied is drawn too.
+fn tied_axis(rng: &mut StdRng) -> Vec<[f64; 2]> {
+    const QUANTUM: f64 = 0.002;
+    let tied = rng.gen_range(0.0f64..1.0);
+    let gap = if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(0.001f64..0.1) };
+    let swap = rng.gen_bool(0.5);
+    let base = rng.gen_range(0.0f64..1.0);
+    (0..rng.gen_range(2usize..300))
+        .map(|_| {
+            let free = base + f64::from(rng.gen_range(0u32..60)) * QUANTUM;
+            let fixed = if rng.gen_bool(0.5) { tied } else { tied + gap };
+            if swap {
+                [fixed, free]
+            } else {
+                [free, fixed]
+            }
+        })
+        .collect()
+}
+
+/// Quantised points with NaN and ±∞ coordinates mixed in.
+fn non_finite(rng: &mut StdRng) -> Vec<[f64; 2]> {
+    let n = rng.gen_range(2usize..60);
+    let mut coordinate = || match rng.gen_range(0u32..12) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        c => f64::from(c) * 0.01,
+    };
+    (0..n).map(|_| [coordinate(), coordinate()]).collect()
 }
 
 /// Differential check: `folding::fold_trace` against the naive linear-scan

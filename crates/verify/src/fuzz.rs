@@ -2,7 +2,7 @@
 //! differential and metamorphic check.
 //!
 //! Kernel-level differential checks (`segdp-exhaustive`, `dbscan-brute`,
-//! `muggeo-rowwise`, `hinge-rowwise`)
+//! `suggest-eps`, `muggeo-rowwise`, `hinge-rowwise`)
 //! draw their own synthetic inputs per seed; trace-level checks all share
 //! the seed's generated [`Case`]. When a trace-level check diverges and
 //! shrinking is enabled, the case's spec is minimized under "that same
@@ -19,6 +19,8 @@ mod ns {
     pub const DBSCAN: u64 = 0x03;
     pub const MUGGEO: u64 = 0x04;
     pub const HINGE: u64 = 0x05;
+    pub const SUGGEST_EPS: u64 = 0x06;
+    pub const NAN: u64 = 0x7A7A;
     pub const PERMUTE: u64 = 0xD5CA;
     pub const REORDER: u64 = 0xF01D;
 }
@@ -44,6 +46,7 @@ pub fn run_seed(seed: u64, shrink_repros: bool) -> Vec<Divergence> {
     // Kernel-level differentials on their own synthetic domains.
     divergences.extend(differential::check_segdp(&mut rng_for(seed, ns::SEGDP), seed));
     divergences.extend(differential::check_dbscan(&mut rng_for(seed, ns::DBSCAN), seed));
+    divergences.extend(differential::check_suggest_eps(&mut rng_for(seed, ns::SUGGEST_EPS), seed));
     divergences.extend(differential::check_muggeo(&mut rng_for(seed, ns::MUGGEO), seed));
     divergences.extend(differential::check_hinge(&mut rng_for(seed, ns::HINGE), seed));
 
@@ -95,6 +98,7 @@ fn trace_checks(case: &Case, seed: u64) -> Vec<Divergence> {
     divergences.extend(metamorphic::check_checkpoint_roundtrip(case, seed));
     divergences.extend(metamorphic::check_reservoir_stream(case, seed));
     divergences.extend(metamorphic::check_fingerprint_roundtrip(case, seed));
+    divergences.extend(metamorphic::check_nan_samples(case, &mut rng_for(seed, ns::NAN), seed));
     divergences
 }
 

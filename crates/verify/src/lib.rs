@@ -11,7 +11,8 @@
 //!
 //! * [`reference`] — deliberately slow, obviously-correct re-implementations
 //!   of the core kernels: exhaustive segmented least squares, brute-force
-//!   O(n²) DBSCAN, a naive linear-scan re-fold, and the Muggeo refinement
+//!   O(n²) DBSCAN, the all-pairs k-dist curve and ε heuristic, a naive
+//!   linear-scan re-fold, and the Muggeo refinement
 //!   and hinge fits with their design matrices built row by row. Each one
 //!   is written from the spec with no shared tricks with the production
 //!   crates (the row-wise fits share only the linear solvers).
@@ -20,8 +21,9 @@
 //! * [`metamorphic`] — properties derived from the paper's math that need
 //!   no reference at all: breakpoint invariance under time shift/scale,
 //!   DBSCAN equivalence under permutation, fold equivalence under instance
-//!   reordering, bit-identical analyses across thread counts, and
-//!   batch/online ingestion agreement.
+//!   reordering, bit-identical analyses across thread counts,
+//!   batch/online ingestion agreement, and NaN samples ending as faults,
+//!   never as panics.
 //! * [`generate`] — a seeded structured generator for random PRV traces and
 //!   analysis configurations (the fuzzer's input domain).
 //! * [`shrink`] — greedy delta-debugging of a failing trace spec down to a

@@ -11,6 +11,7 @@
 //! | checkpoint-roundtrip | checkpoint mid-stream, restore, finish both | bit-identical analysis digest (resume is exact) |
 //! | reservoir-stream | same stream, folded points capped at [`RESERVOIR_CHECK_CAP`] | accounting exact; fitted instruction curves within RMS [`RESERVOIR_RMS_BOUND`] in normalized-progress units |
 //! | fingerprint-roundtrip | analysis → `.pffp` frame → decode → re-encode | decoded fingerprint equals the original, re-encoded bytes are bit-identical |
+//! | nan-no-panic | a share of the samples get NaN counter values, analysis with a bootstrap | NaN points are quarantined as faults; no stage panics (`task-panicked`) |
 
 use crate::generate::Case;
 use crate::Divergence;
@@ -18,8 +19,11 @@ use phasefold::{try_analyze_trace, Analysis, OnlineAnalyzer};
 use phasefold_cluster::{cluster_bursts, dbscan, extract_features, DbscanParams};
 use phasefold_folding::fold_trace;
 use phasefold_model::{
-    burst::extract_bursts_checked, fault::FaultReport, Record, Sample, TimeNs, Trace,
+    burst::extract_bursts_checked,
+    fault::{FaultKind, FaultReport},
+    Record, Sample, TimeNs, Trace,
 };
+use phasefold_regress::BootstrapConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -722,6 +726,50 @@ pub fn check_fingerprint_roundtrip(case: &Case, seed: u64) -> Option<Divergence>
 
 /// Locates the first differing region of two digests, for readable
 /// divergence details.
+/// Share of the samples whose counter values [`check_nan_samples`] turns
+/// to NaN — the rate of `phasefold chaos --nan 0.3`.
+pub const NAN_SAMPLE_RATE: f64 = 0.3;
+
+/// Property: NaN sample values end as faults, never as a panic. Every
+/// counter value of a [`NAN_SAMPLE_RATE`] share of the samples becomes
+/// NaN, and the analysis runs with a small bootstrap, the one stage that
+/// re-reads the NaN-filtered structural data; no `task-panicked` fault may
+/// come back, in the report or as the abort.
+pub fn check_nan_samples(case: &Case, rng: &mut StdRng, seed: u64) -> Option<Divergence> {
+    let mut trace = Trace::with_ranks(case.trace.registry.clone(), case.trace.num_ranks());
+    let mut corrupted = 0usize;
+    for (rank, stream) in case.trace.iter_ranks() {
+        let Some(dst) = trace.rank_mut(rank) else { continue };
+        for record in stream.records() {
+            let mut record = record.clone();
+            if let Record::Sample(s) = &mut record {
+                if rng.gen_bool(NAN_SAMPLE_RATE) {
+                    let kinds: Vec<_> = s.counters.iter().map(|(kind, _)| kind).collect();
+                    for kind in kinds {
+                        s.counters.set(kind, f64::NAN);
+                    }
+                    corrupted += 1;
+                }
+            }
+            let _ = dst.push(record);
+        }
+    }
+    let mut config = case.config.to_analysis();
+    config.bootstrap = Some(BootstrapConfig { replicates: 8, ..BootstrapConfig::default() });
+    let panicked = match try_analyze_trace(&trace, &config) {
+        Ok(analysis) => {
+            analysis.faults.faults.into_iter().find(|f| f.kind == FaultKind::TaskPanicked)
+        }
+        Err(fault) => (fault.kind == FaultKind::TaskPanicked).then_some(fault),
+    };
+    panicked.map(|fault| Divergence {
+        check: "nan-no-panic",
+        seed,
+        detail: format!("{corrupted} samples NaN-corrupted: {fault}"),
+        repro: None,
+    })
+}
+
 fn first_difference(a: &str, b: &str) -> String {
     let pos = a
         .bytes()

@@ -303,6 +303,51 @@ pub fn brute_dbscan(points: &[[f64; 2]], eps: f64, min_pts: usize) -> BruteDbsca
 }
 
 // ---------------------------------------------------------------------------
+// Brute-force k-dist and ε heuristic
+// ---------------------------------------------------------------------------
+
+/// All-pairs k-dist curve: for each point, the `k`-th smallest Euclidean
+/// distance to another point (`k` is raised to at least 1). NaN distances
+/// are not distances to anything and are left out; a point with fewer
+/// than `k` others at a non-NaN distance gets +∞.
+pub fn brute_k_dist(points: &[[f64; 2]], k: usize) -> Vec<f64> {
+    let k = k.max(1);
+    (0..points.len())
+        .map(|i| {
+            let mut dists: Vec<f64> = (0..points.len())
+                .filter(|&j| j != i)
+                .map(|j| {
+                    let dx = points[i][0] - points[j][0];
+                    let dy = points[i][1] - points[j][1];
+                    (dx * dx + dy * dy).sqrt()
+                })
+                .filter(|d| !d.is_nan())
+                .collect();
+            dists.sort_by(f64::total_cmp);
+            dists.get(k - 1).copied().unwrap_or(f64::INFINITY)
+        })
+        .collect()
+}
+
+/// The ε heuristic from its definition: sort the finite k-dists (with
+/// `k = min_pts`), read the `quantile` (clamped to `[0, 1]`, position
+/// rounded down), and widen it by 5 %, floored at 1e-12. Fewer than two
+/// points, or no finite k-dist, give 1.0.
+pub fn brute_suggest_eps(points: &[[f64; 2]], min_pts: usize, quantile: f64) -> f64 {
+    if points.len() < 2 {
+        return 1.0;
+    }
+    let mut finite: Vec<f64> =
+        brute_k_dist(points, min_pts).into_iter().filter(|d| d.is_finite()).collect();
+    if finite.is_empty() {
+        return 1.0;
+    }
+    finite.sort_by(f64::total_cmp);
+    let pos = ((finite.len() - 1) as f64 * quantile.clamp(0.0, 1.0)) as usize;
+    (finite[pos] * 1.05).max(1e-12)
+}
+
+// ---------------------------------------------------------------------------
 // Naive re-fold
 // ---------------------------------------------------------------------------
 
