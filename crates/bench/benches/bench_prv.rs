@@ -1,11 +1,16 @@
-//! Criterion micro-bench: lenient PRV parsing of two trace bodies built
+//! Criterion micro-bench: PRV parsing of three trace bodies built
 //! in-process with the simulator and the tracer — a `C`-heavy cg trace
-//! sampled every 10 ms (ten counter values per communication record) and
-//! an `S`-heavy md trace sampled every millisecond.
+//! sampled every 10 ms (ten counter values per communication record), a
+//! stencil trace sampled every 2 ms (`C` and `S` lines mixed) and an
+//! `S`-heavy md trace sampled every millisecond.
+//!
+//! `prv_parse_lenient` parses each whole body; `prv_parse_record_line`
+//! feeds the md body's record lines one at a time, as a streaming session
+//! does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phasefold_model::{prv, DurNs};
-use phasefold_simapp::workloads::{cg, md};
+use phasefold_simapp::workloads::{cg, md, stencil};
 use phasefold_simapp::{simulate, Program, SimConfig};
 use phasefold_tracer::{trace_run, TracerConfig};
 
@@ -17,9 +22,11 @@ fn body(program: &Program, period: DurNs) -> String {
 
 fn bench_prv(c: &mut Criterion) {
     let cg = cg::build(&cg::CgParams { iterations: 250, ..Default::default() });
+    let stencil = stencil::build(&stencil::StencilParams::default());
     let md = md::build(&md::MdParams::default());
     let bodies = [
         ("cg_c_heavy", body(&cg, DurNs::from_millis(10))),
+        ("stencil_mixed", body(&stencil, DurNs::from_millis(2))),
         ("md_s_heavy", body(&md, DurNs::from_millis(1))),
     ];
     let mut group = c.benchmark_group("prv_parse_lenient");
@@ -32,6 +39,20 @@ fn bench_prv(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    let (_, md_text) = &bodies[2];
+    let records: Vec<&str> = md_text.lines().filter(|l| !l.starts_with('#')).collect();
+    let mut group = c.benchmark_group("prv_parse_record_line");
+    group.bench_with_input(BenchmarkId::new("md_s_heavy", records.len()), &records, |b, lines| {
+        b.iter(|| {
+            lines
+                .iter()
+                .enumerate()
+                .map(|(i, line)| prv::parse_record_line(line, i + 1).is_ok() as usize)
+                .sum::<usize>()
+        })
+    });
     group.finish();
 }
 

@@ -547,14 +547,14 @@ impl OnlineAnalyzer {
             fold.samples += 1;
             let x = sample.time.normalized_within(burst.start, burst.end);
             if !sample.callstack.is_empty() {
-                // One deep copy out of the record buffer; later snapshot
-                // clones of the fold only bump the refcount.
+                // Shares the record's stack; snapshot clones of the fold
+                // only bump the refcount.
                 reservoir_push(
                     &mut fold.stacks,
                     &mut fold.stacks_seen,
                     cap,
                     &mut self.rng,
-                    (x, std::sync::Arc::new(sample.callstack.clone())),
+                    (x, std::sync::Arc::clone(&sample.callstack)),
                 );
             }
             for (kind, absolute) in sample.counters.iter() {

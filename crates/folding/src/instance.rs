@@ -47,7 +47,7 @@ pub fn collect_instances(
             .map(|s| InstanceSample {
                 x: s.time.normalized_within(burst.start, burst.end),
                 counters: s.counters,
-                callstack: Arc::new(s.callstack.clone()),
+                callstack: Arc::clone(&s.callstack),
             })
             .collect();
         per_cluster[*cluster].push(FoldInstance {
@@ -82,19 +82,19 @@ mod tests {
         push(Record::Sample(Sample {
             time: TimeNs(150),
             counters: PartialCounterSet::from_full(&counters(55.0)),
-            callstack: CallStack::empty(),
+            callstack: CallStack::empty().into(),
         }));
         push(Record::CommEnter { time: TimeNs(200), kind: CommKind::Collective, counters: counters(100.0) });
         push(Record::Sample(Sample {
             time: TimeNs(250),
             counters: PartialCounterSet::from_full(&counters(100.0)),
-            callstack: CallStack::empty(),
+            callstack: CallStack::empty().into(),
         }));
         push(Record::CommExit { time: TimeNs(300), kind: CommKind::Collective, counters: counters(100.0) });
         push(Record::Sample(Sample {
             time: TimeNs(400),
             counters: PartialCounterSet::from_full(&counters(150.0)),
-            callstack: CallStack::empty(),
+            callstack: CallStack::empty().into(),
         }));
         push(Record::CommEnter { time: TimeNs(500), kind: CommKind::Collective, counters: counters(200.0) });
         let bursts = phasefold_model::extract_bursts(&trace, phasefold_model::DurNs::ZERO);

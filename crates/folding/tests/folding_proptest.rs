@@ -31,7 +31,7 @@ fn trace_of(durations_us: &[u32]) -> Trace {
             .push(Record::Sample(Sample {
                 time: TimeNs(mid),
                 counters: PartialCounterSet::from_full(&mid_counters),
-                callstack: CallStack::empty(),
+                callstack: CallStack::empty().into(),
             }))
             .unwrap();
         t += dur;

@@ -241,7 +241,7 @@ mod tests {
         Record::Sample(Sample {
             time: TimeNs(t),
             counters: PartialCounterSet::EMPTY,
-            callstack: CallStack::empty(),
+            callstack: CallStack::empty().into(),
         })
     }
 

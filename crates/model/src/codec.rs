@@ -29,6 +29,7 @@ use crate::trace::RankId;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Offset-based FNV-1a 64-bit hash (the same function the serve cache
 /// keys with); dependency-free and stable across platforms.
@@ -480,7 +481,7 @@ pub fn get_record(r: &mut Reader<'_>) -> Result<Record, CodecError> {
         }
         4 => {
             let counters = get_partial_counter_set(r)?;
-            let callstack = get_callstack(r)?;
+            let callstack = Arc::new(get_callstack(r)?);
             Ok(Record::Sample(Sample { time, counters, callstack }))
         }
         other => Err(CodecError::Malformed(format!("unknown record tag {other}"))),
@@ -678,7 +679,7 @@ mod tests {
             Record::Sample(Sample {
                 time: TimeNs(5),
                 counters: partial,
-                callstack: CallStack::new(vec![RegionId(1), RegionId(2)], 42),
+                callstack: Arc::new(CallStack::new(vec![RegionId(1), RegionId(2)], 42)),
             }),
         ]
     }

@@ -9,6 +9,7 @@
 use crate::callstack::{CallStack, RegionId};
 use crate::counter::{CounterSet, PartialCounterSet};
 use crate::time::TimeNs;
+use std::sync::Arc;
 
 /// Kind of communication operation delimiting computation bursts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,8 +55,11 @@ pub struct Sample {
     /// Accumulated counter readings for the counter group active in this
     /// sampling round (full set when multiplexing is off).
     pub counters: PartialCounterSet,
-    /// Captured call stack (may be empty if capture failed).
-    pub callstack: CallStack,
+    /// Captured call stack (may be empty if capture failed). Shared: the
+    /// parser hands every sample of one stack the same `Arc`, and folding
+    /// keeps it by reference. Equality and `Debug` see the stack's
+    /// contents.
+    pub callstack: Arc<CallStack>,
 }
 
 /// One record in a rank's event stream.
@@ -153,9 +157,16 @@ mod tests {
         let s = Record::Sample(Sample {
             time: TimeNs(9),
             counters: PartialCounterSet::EMPTY,
-            callstack: CallStack::empty(),
+            callstack: Arc::new(CallStack::empty()),
         });
         assert_eq!(s.time(), TimeNs(9));
         assert!(s.is_sample());
+    }
+
+    #[test]
+    fn record_holds_its_sample_stack_by_pointer() {
+        // Ten optional counter values (160 bytes), the time and one
+        // pointer: the stack's frames live behind the shared `Arc`.
+        assert_eq!(std::mem::size_of::<Record>(), 176);
     }
 }

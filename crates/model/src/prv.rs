@@ -31,7 +31,9 @@ use crate::event::{CommKind, Record, Sample};
 use crate::fault::{Fault, FaultPolicy, FaultReport, Severity};
 use crate::time::TimeNs;
 use crate::trace::{RankId, Trace};
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Upper bound on the rank count a `#RANKS` header may declare. Each
 /// declared rank pre-allocates a `RankTrace`, so an unvalidated header is
@@ -189,9 +191,74 @@ fn write_record(out: &mut String, rank: RankId, record: &Record) {
     }
 }
 
+/// True for the ASCII bytes `char::is_whitespace` accepts: `\t`, `\n`,
+/// `\x0B`, `\x0C`, `\r` and the space. `u8::is_ascii_whitespace` is not
+/// the same set: it rejects `\x0B`, which `str::split_whitespace` splits on.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Whether the char starting at byte `i` of `s` is whitespace, and its
+/// length in bytes; `None` at the end. Only a non-ASCII char is decoded.
+fn space_at(s: &str, i: usize) -> Option<(bool, usize)> {
+    let b = *s.as_bytes().get(i)?;
+    if b.is_ascii() {
+        return Some((is_ascii_space(b), 1));
+    }
+    let c = s.get(i..)?.chars().next()?;
+    Some((c.is_whitespace(), c.len_utf8()))
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Index of the first byte at or after `i` that `flag` marks, or the
+/// length. `flag` maps eight little-endian bytes to a word whose lowest set
+/// high bit marks the first wanted byte (higher ones may be false), so long
+/// runs of field bytes cost one test a word. The last few bytes go one at a
+/// time, each alone in the lowest lane, where its flag is exact.
+fn find_first(bytes: &[u8], mut i: usize, flag: impl Fn(u64) -> u64) -> usize {
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let flagged = flag(u64::from_le_bytes(word));
+        if flagged != 0 {
+            return i + (flagged.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while bytes.get(i).is_some_and(|&b| flag(u64::from(b)) & 0x80 == 0) {
+        i += 1;
+    }
+    i
+}
+
+/// High bit set in each byte of `w` below `n` (`n <= 0x80`). Borrows run
+/// upward only, so the lowest flag is exact and a higher one may be false.
+fn bytes_below(w: u64, n: u8) -> u64 {
+    w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS
+}
+
+/// The bytes that can end a field: `<= b' '` or not ASCII.
+fn find_field_end(bytes: &[u8], i: usize) -> usize {
+    find_first(bytes, i, |w| bytes_below(w, 0x21) | (w & HIGHS))
+}
+
+/// The first `a` or `b`: the zero bytes of `w ^ a…` are the bytes equal to `a`.
+fn find_either(bytes: &[u8], i: usize, a: u8, b: u8) -> usize {
+    let (wa, wb) = (ONES * u64::from(a), ONES * u64::from(b));
+    find_first(bytes, i, |w| bytes_below(w ^ wa, 1) | bytes_below(w ^ wb, 1))
+}
+
+/// Splits one line into whitespace-separated fields, exactly as
+/// `str::split_whitespace` does, without decoding ASCII: a byte below 0x80
+/// is classified directly, and only a non-ASCII byte is decoded and tested
+/// with `char::is_whitespace`, so U+0085, U+00A0, U+3000 and the other
+/// Unicode spaces still separate fields.
 struct LineParser<'a> {
     line_no: usize,
-    fields: std::str::SplitWhitespace<'a>,
+    /// The part of the line not yet split into fields.
+    rest: &'a str,
 }
 
 impl<'a> LineParser<'a> {
@@ -199,10 +266,27 @@ impl<'a> LineParser<'a> {
         ModelError::Parse { line: self.line_no, message: message.into() }
     }
 
+    /// The next field, or `None` when only whitespace is left.
+    fn field(&mut self) -> Option<&'a str> {
+        let s = self.rest;
+        let mut start = 0;
+        while let Some((true, len)) = space_at(s, start) {
+            start += len;
+        }
+        let mut end = start;
+        loop {
+            end = find_field_end(s.as_bytes(), end);
+            match space_at(s, end) {
+                Some((false, len)) => end += len,
+                _ => break,
+            }
+        }
+        self.rest = s.get(end..).unwrap_or_default();
+        s.get(start..end).filter(|f| !f.is_empty())
+    }
+
     fn next(&mut self, what: &str) -> Result<&'a str, ModelError> {
-        self.fields
-            .next()
-            .ok_or_else(|| self.err(format!("missing field: {what}")))
+        self.field().ok_or_else(|| self.err(format!("missing field: {what}")))
     }
 
     fn next_u32(&mut self, what: &str) -> Result<u32, ModelError> {
@@ -223,14 +307,18 @@ impl<'a> LineParser<'a> {
         let mut values = [0.0; NUM_COUNTERS];
         for (i, v) in values.iter_mut().enumerate() {
             let f = self
-                .fields
-                .next()
+                .field()
                 .ok_or_else(|| self.err(format!("missing field: counter[{i}]")))?;
             *v = f.parse().map_err(|_| self.err(format!("bad counter[{i}]: {f:?}")))?;
         }
         Ok(CounterSet::from_array(values))
     }
 }
+
+/// Call stacks already parsed in one trace, keyed by their raw token
+/// (`@line` suffix included). It lives for one parse, so its size is
+/// bounded by the input's length.
+type StackTable<'a> = HashMap<&'a str, Arc<CallStack>>;
 
 /// Parses the `.prv`-like text format back into a [`Trace`].
 ///
@@ -317,19 +405,24 @@ fn parse_impl(input: &str, mut faults: Option<&mut FaultReport>) -> Result<Trace
     let mut trace: Option<Trace> = None;
     let mut pending_regions: Vec<(u32, RegionKind, String, String, u32)> = Vec::new();
     let mut n_ranks: Option<usize> = None;
+    let mut stacks = StackTable::new();
 
-    for (idx, raw) in lines {
+    for (idx, line) in lines {
         let line_no = idx + 1;
-        let line = raw.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let mut p = LineParser { line_no, fields: line.split_whitespace() };
-        let tag = match p.next("record tag") {
-            Ok(t) => t,
-            Err(_) => continue, // whitespace-only line
+        let mut p = LineParser { line_no, rest: line };
+        let Some(tag) = p.field() else {
+            continue; // empty or whitespace-only line
         };
         match tag {
+            // The header froze at the first body record; a late header
+            // line would be silently lost.
+            "#RANKS" | "#REGION" if trace.is_some() => {
+                let e = p.err(format!("{tag} header after the first body record"));
+                match faults.as_deref_mut() {
+                    Some(report) => report.push(Fault::from(e)),
+                    None => return Err(e),
+                }
+            }
             "#RANKS" => {
                 let n = p.next_u32("rank count")? as usize;
                 // The header is structural, so this is fatal in both
@@ -378,7 +471,7 @@ fn parse_impl(input: &str, mut faults: Option<&mut FaultReport>) -> Result<Trace
                 let Some(trace) = trace.as_mut() else {
                     unreachable!("trace initialised above");
                 };
-                match parse_body_record(&mut p, tag, trace) {
+                match parse_body_record(&mut p, tag, trace, &mut stacks) {
                     Ok(()) => {}
                     Err(e) => match faults.as_deref_mut() {
                         Some(report) => report.push(Fault::from(e).at_line(line_no)),
@@ -423,22 +516,28 @@ fn parse_impl(input: &str, mut faults: Option<&mut FaultReport>) -> Result<Trace
 /// and feeds them to an `OnlineAnalyzer`, so there is no header block and
 /// no rank stream to push onto. Header lines (`#…`) and unknown tags are
 /// rejected with a [`ModelError::Parse`] carrying `line_no`.
+///
+/// It keeps no call-stack table: each sample gets a stack of its own, so a
+/// long-lived session's memory stays bounded by what it retains.
 pub fn parse_record_line(line: &str, line_no: usize) -> Result<(RankId, Record), ModelError> {
-    let mut p = LineParser { line_no, fields: line.split_whitespace() };
+    let mut p = LineParser { line_no, rest: line };
     let tag = p.next("record tag")?;
     match tag {
         "R" | "C" | "S" => {
-            let (rank, record) = parse_record_fields(&mut p, tag)?;
+            let (rank, record) = parse_record_fields(&mut p, tag, None)?;
             Ok((RankId(rank), record))
         }
         other => Err(p.err(format!("unknown record tag {other:?}"))),
     }
 }
 
-/// Parses the fields of one `R`/`C`/`S` body line (after the tag).
-fn parse_record_fields(
-    p: &mut LineParser<'_>,
+/// Parses the fields of one `R`/`C`/`S` body line (after the tag). A
+/// sample's call stack is looked up in `stacks`, when given, and parsed
+/// only the first time its token is seen.
+fn parse_record_fields<'a>(
+    p: &mut LineParser<'a>,
     tag: &str,
+    stacks: Option<&mut StackTable<'a>>,
 ) -> Result<(u32, Record), ModelError> {
     let rank = p.next_u32("rank")?;
     let record = match tag {
@@ -470,7 +569,17 @@ fn parse_record_fields(
             let counters_tok = p.next("sample counters")?;
             let stack_tok = p.next("sample callstack")?;
             let counters = parse_sample_counters(p, counters_tok)?;
-            let callstack = parse_callstack(p, stack_tok)?;
+            let callstack = match stacks {
+                Some(table) => match table.get(stack_tok) {
+                    Some(stack) => Arc::clone(stack),
+                    None => {
+                        let stack = Arc::new(parse_callstack(p, stack_tok)?);
+                        table.insert(stack_tok, Arc::clone(&stack));
+                        stack
+                    }
+                },
+                None => Arc::new(parse_callstack(p, stack_tok)?),
+            };
             Record::Sample(Sample { time, counters, callstack })
         }
         other => return Err(p.err(format!("unknown record tag {other:?}"))),
@@ -479,18 +588,23 @@ fn parse_record_fields(
 }
 
 /// Parses one `R`/`C`/`S` body line and pushes it onto its rank's stream.
-fn parse_body_record(
-    p: &mut LineParser<'_>,
+fn parse_body_record<'a>(
+    p: &mut LineParser<'a>,
     tag: &str,
     trace: &mut Trace,
+    stacks: &mut StackTable<'a>,
 ) -> Result<(), ModelError> {
-    let (rank, record) = parse_record_fields(p, tag)?;
+    let (rank, record) = parse_record_fields(p, tag, Some(stacks))?;
     let stream = trace
         .rank_mut(RankId(rank))
         .ok_or(ModelError::UnknownRank(rank))?;
     stream.push(record)
 }
 
+/// Parses a sample's `KIND:value,…` token in one pass. Pairs end at `,`
+/// and split at their first `:`, as `split(',')` and `split_once(':')`
+/// would split them, so an empty trailing piece (`INS:1,`) is still a bad
+/// pair. Both separators are ASCII, so every cut is a char boundary.
 fn parse_sample_counters(
     p: &LineParser<'_>,
     tok: &str,
@@ -499,18 +613,28 @@ fn parse_sample_counters(
         return Ok(PartialCounterSet::EMPTY);
     }
     let mut out = PartialCounterSet::EMPTY;
-    for pair in tok.split(',') {
-        let (k, v) = pair
-            .split_once(':')
-            .ok_or_else(|| p.err(format!("bad counter pair {pair:?}")))?;
+    let bytes = tok.as_bytes();
+    let mut start = 0;
+    loop {
+        let sep = find_either(bytes, start, b',', b':');
+        if bytes.get(sep) != Some(&b':') {
+            let pair = tok.get(start..sep).unwrap_or_default();
+            return Err(p.err(format!("bad counter pair {pair:?}")));
+        }
+        let end = find_either(bytes, sep + 1, b',', b',');
+        let k = tok.get(start..sep).unwrap_or_default();
+        let v = tok.get(sep + 1..end).unwrap_or_default();
         let kind = CounterKind::from_mnemonic(k)
             .ok_or_else(|| p.err(format!("unknown counter {k:?}")))?;
         let value: f64 = v
             .parse()
             .map_err(|_| p.err(format!("bad counter value {v:?}")))?;
         out.set(kind, value);
+        if end == bytes.len() {
+            return Ok(out);
+        }
+        start = end + 1;
     }
-    Ok(out)
 }
 
 fn parse_callstack(p: &LineParser<'_>, tok: &str) -> Result<CallStack, ModelError> {
@@ -564,7 +688,7 @@ mod tests {
             .push(Record::Sample(Sample {
                 time: TimeNs(150),
                 counters: pc,
-                callstack: CallStack::new(vec![main, spmv], 44),
+                callstack: Arc::new(CallStack::new(vec![main, spmv], 44)),
             }))
             .unwrap();
         stream
@@ -579,7 +703,7 @@ mod tests {
             .push(Record::Sample(Sample {
                 time: TimeNs(5),
                 counters: PartialCounterSet::EMPTY,
-                callstack: CallStack::empty(),
+                callstack: Arc::new(CallStack::empty()),
             }))
             .unwrap();
         trace
@@ -788,6 +912,96 @@ mod tests {
             let (rank, rec) = parse_record_line(line, no + 1).unwrap();
             assert!(trace.rank(rank).unwrap().records().contains(&rec));
         }
+    }
+
+    #[test]
+    fn fields_split_on_every_char_is_whitespace_class() {
+        // `\x0B` is whitespace to `char::is_whitespace` (and so to
+        // `split_whitespace`) but not to `u8::is_ascii_whitespace`.
+        for sep in ["\t", "\x0B", "\x0C", "\r", "  ", "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}"] {
+            let line = ["S", "1", "500", "INS:0.5", "0;1@7"].join(sep);
+            let (rank, rec) = parse_record_line(&line, 1).unwrap();
+            assert_eq!(rank, RankId(1), "separator {sep:?}");
+            let Record::Sample(s) = rec else { panic!("not a sample: {rec:?}") };
+            assert_eq!(s.counters.get(CounterKind::Instructions), Some(0.5));
+            assert_eq!(*s.callstack, CallStack::new(vec![RegionId(0), RegionId(1)], 7));
+        }
+        // Other non-ASCII characters stay inside their field.
+        let err = parse_record_line("S 0 5é00 - -", 4).unwrap_err().to_string();
+        assert_eq!(err, "trace parse error at line 4: bad time: \"5é00\"");
+    }
+
+    #[test]
+    fn sample_counter_pairs_split_like_split_and_split_once() {
+        let cases = [
+            ("INS:1,", "bad counter pair \"\""),
+            (",INS:1", "bad counter pair \"\""),
+            ("INS:1,CYC", "bad counter pair \"CYC\""),
+            ("INS:1:2", "bad counter value \"1:2\""),
+            ("INS:", "bad counter value \"\""),
+            (":1", "unknown counter \"\""),
+            ("XYZ:1", "unknown counter \"XYZ\""),
+        ];
+        for (tok, message) in cases {
+            let err = parse_record_line(&format!("S 0 5 {tok} -"), 2).unwrap_err();
+            assert_eq!(err.to_string(), format!("trace parse error at line 2: {message}"), "{tok}");
+        }
+        let (_, rec) = parse_record_line("S 0 5 CYC:2,INS:1e400 -", 1).unwrap();
+        let Record::Sample(s) = rec else { panic!("not a sample: {rec:?}") };
+        assert_eq!(s.counters.get(CounterKind::Cycles), Some(2.0));
+        assert_eq!(s.counters.get(CounterKind::Instructions), Some(f64::INFINITY));
+        // A missing stack is reported before any counter error.
+        let err = parse_record_line("S 0 5 INS:x", 3).unwrap_err().to_string();
+        assert_eq!(err, "trace parse error at line 3: missing field: sample callstack");
+    }
+
+    #[test]
+    fn call_stacks_are_shared_per_trace_and_keyed_by_their_whole_token() {
+        let input = "#PHASEFOLD_TRACE v1\n#RANKS 1\nS 0 1 - 0;1@3\nS 0 2 - 0;1@4\n\
+                     S 0 3 - 0;1@3\nS 0 4 - 0;1\n";
+        let trace = parse_trace(input).unwrap();
+        let stacks: Vec<&Arc<CallStack>> = trace
+            .rank(RankId(0))
+            .unwrap()
+            .records()
+            .iter()
+            .filter_map(|r| match r {
+                Record::Sample(s) => Some(&s.callstack),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stacks[0].leaf_line, 3);
+        assert_eq!(stacks[1].leaf_line, 4);
+        assert_eq!(stacks[3].leaf_line, 0);
+        assert!(Arc::ptr_eq(stacks[0], stacks[2]), "one token, one stack");
+        assert!(!Arc::ptr_eq(stacks[0], stacks[1]));
+        assert_eq!(write_trace(&trace), input);
+    }
+
+    #[test]
+    fn late_header_lines_are_defects_not_silently_dropped() {
+        let late_region = "#PHASEFOLD_TRACE v1\n#RANKS 1\n#REGION 0 F main m.c 1\n\
+                           R 0 E 1 0\n#REGION 1 K late k.c 2\nS 0 5 INS:1 1@3\n";
+        let late_ranks = "#PHASEFOLD_TRACE v1\n#RANKS 1\nR 0 E 1 0\n#RANKS 4\nR 0 X 2 0\n";
+        for (input, line, message) in [
+            (late_region, 5, "#REGION header after the first body record"),
+            (late_ranks, 4, "#RANKS header after the first body record"),
+        ] {
+            assert_eq!(
+                parse_trace(input).unwrap_err(),
+                ModelError::Parse { line, message: message.into() }
+            );
+            let (trace, report) = parse_trace_lenient(input).unwrap();
+            assert_eq!(trace.total_records(), 2);
+            assert_eq!(trace.num_ranks(), 1);
+            assert_eq!(report.len(), 1);
+            assert_eq!(report.faults[0].kind, FaultKind::MalformedTrace);
+            assert_eq!(report.faults[0].provenance.line, Some(line));
+            assert_eq!(report.faults[0].detail, message);
+        }
+        // Before the first body record, header lines may come in any order.
+        let early = "#PHASEFOLD_TRACE v1\n#REGION 0 F main m.c 1\n#RANKS 1\nR 0 E 1 0\n";
+        assert_eq!(parse_trace(early).unwrap().registry.len(), 1);
     }
 
     #[test]

@@ -168,7 +168,7 @@ mod tests {
             .push(Record::Sample(Sample {
                 time: TimeNs(400_000),
                 counters: PartialCounterSet::EMPTY,
-                callstack: CallStack::empty(),
+                callstack: CallStack::empty().into(),
             }))
             .unwrap();
         stream

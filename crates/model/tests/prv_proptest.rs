@@ -97,7 +97,7 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
                     }
                     Payload::CommExit(kind, counters) => Record::CommExit { time, kind, counters },
                     Payload::Sample(counters, callstack) => {
-                        Record::Sample(Sample { time, counters, callstack })
+                        Record::Sample(Sample { time, counters, callstack: callstack.into() })
                     }
                 };
                 stream.push(record).unwrap();

@@ -60,11 +60,11 @@ pub fn simulate(program: &Program, config: &SimConfig) -> SimOutput {
     let mut scripts: Vec<Vec<ScriptItem>> = vec![Vec::new(); config.ranks];
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(config.ranks);
     let chunk = config.ranks.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, slot) in scripts.chunks_mut(chunk).enumerate() {
             let base_rank = t * chunk;
             let ranks_total = config.ranks;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, out) in slot.iter_mut().enumerate() {
                     let rank = (base_rank + i) as u64;
                     let speed = if ranks_total > 1 {
@@ -83,8 +83,7 @@ pub fn simulate(program: &Program, config: &SimConfig) -> SimOutput {
                 }
             });
         }
-    })
-    .expect("rank unrolling thread panicked");
+    });
 
     let scheduled = schedule(&scripts, &config.comm);
     let timelines = scheduled

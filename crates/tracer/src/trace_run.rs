@@ -205,7 +205,11 @@ fn trace_rank(timeline: &RankTimeline, config: &TracerConfig, rank_salt: u64) ->
                 } else {
                     CallStack::empty()
                 };
-                stream.push(Record::Sample(Sample { time: dilate(at, shift_s), counters, callstack }))
+                stream.push(Record::Sample(Sample {
+                    time: dilate(at, shift_s),
+                    counters,
+                    callstack: callstack.into(),
+                }))
             }
         };
         // Raw records are time-sorted and dilation is monotone, so pushes

@@ -68,6 +68,7 @@ pub fn parse_case(raw: &str) -> Result<Case, String> {
 pub fn replay_case(case: &Case, seed: u64) -> Vec<Divergence> {
     let mut divergences = Vec::new();
     divergences.extend(differential::check_fold(case, seed));
+    divergences.extend(differential::check_prv_fields(case, &mut rng_for(seed, 0x07), seed));
     divergences.extend(metamorphic::check_threads(case, seed));
     divergences.extend(metamorphic::check_time_shift(case, seed));
     divergences.extend(metamorphic::check_time_scale(case, seed));

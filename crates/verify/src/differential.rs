@@ -10,13 +10,14 @@
 //! | fold-naive       | bit-exact on every folded point and mean; the two sides evaluate the same formula in the same order |
 //! | muggeo-rowwise   | same number of refined breakpoints, each within `MUGGEO_PSI_ATOL·(hi−lo)` of the row-wise refinement (suffix sums vs row-wise Gram round differently; the update map is a contraction where Muggeo converges) |
 //! | hinge-rowwise    | fitted values at every point within `HINGE_FIT_RTOL·(1 + max|y|)` and SSE within `HINGE_SSE_RTOL·(1 + Σw·y²)` of the row-wise fit, free and monotone (NNLS) alike |
+//! | prv-fields       | exact, on the case's trace with call stacks on some samples and on mutants of it (whitespace classes, stray separators, odd number tokens inserted, deleted or replaced): strict and lenient, the same `write_trace` bytes and `FaultReport`, or the same error `Display`; and `parse_record_line` gives the same `Debug` on every line |
 
 use crate::generate::Case;
 use crate::reference;
 use crate::Divergence;
 use phasefold_cluster::{cluster_bursts, dbscan, suggest_eps, DbscanParams, KdTree};
 use phasefold_folding::fold_trace;
-use phasefold_model::{burst::extract_bursts_checked, fault::FaultReport};
+use phasefold_model::{burst::extract_bursts_checked, fault::FaultReport, prv, FaultPolicy};
 use phasefold_regress::breakpoints::{refine_breakpoints, RefineConfig};
 use phasefold_regress::hinge::{fit_hinge, fit_hinge_monotone};
 use phasefold_regress::segdp::segment_dp;
@@ -606,4 +607,174 @@ pub fn compare_folds(
         }
     }
     None
+}
+
+/// Field separators `char::is_whitespace` accepts, ASCII and not; `\x0B`
+/// is the one `u8::is_ascii_whitespace` rejects.
+const PRV_WHITESPACE: [&str; 9] =
+    ["\x0B", "\x0C", "\r", "\t", "  ", "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}"];
+/// Stray characters: the format's own separators, and a non-ASCII letter.
+const PRV_STRAY: [&str; 6] = [",", ":", ";", "@", "-", "é"];
+/// Tokens that `str::parse::<f64>` reads specially or rejects.
+const PRV_NUMBERS: [&str; 4] = ["inf", "NaN", "1e400", "+"];
+/// Stacks given to some samples before mutating; the first two differ only
+/// in their leaf line, so a stack table keyed without it shows.
+const PRV_STACKS: [&str; 4] = ["0;1@3", "0;1@4", "0;1", "1@3"];
+/// Mutants compared per case, after the unmutated trace.
+const PRV_MUTANTS: usize = 8;
+
+/// Differential check: `prv`'s byte scanner against the `split_whitespace`
+/// parser (`reference::prv_parse`) on the case's trace, with call stacks on
+/// about half of its samples, and on [`PRV_MUTANTS`] mutants of it, each
+/// with one to three edits.
+pub fn check_prv_fields(case: &Case, rng: &mut StdRng, seed: u64) -> Option<Divergence> {
+    let mut dressed = String::with_capacity(case.text.len());
+    for line in case.text.lines() {
+        match line.strip_suffix(" -") {
+            Some(head) if line.starts_with("S ") && rng.gen_bool(0.5) => {
+                dressed.push_str(head);
+                dressed.push(' ');
+                dressed.push_str(PRV_STACKS[rng.gen_range(0..PRV_STACKS.len())]);
+            }
+            _ => dressed.push_str(line),
+        }
+        dressed.push('\n');
+    }
+    let mut edits = Vec::new();
+    let mut text = dressed.clone();
+    for mutant in 0..=PRV_MUTANTS {
+        if mutant > 0 {
+            text.clone_from(&dressed);
+            edits.clear();
+            for _ in 0..rng.gen_range(1..4) {
+                edits.push(mutate_prv(&mut text, rng));
+            }
+        }
+        if let Some(detail) = compare_prv(&text) {
+            return Some(Divergence {
+                check: "prv-fields",
+                seed,
+                detail: format!("{detail} (mutant {mutant}: {})", edits.join(", ")),
+                repro: None,
+            });
+        }
+    }
+    None
+}
+
+/// Applies one random edit to `text` and describes it: a whitespace class,
+/// stray character or number token is inserted, or replaces one char, or
+/// one char is deleted. Half the edits land at a field or pair edge.
+fn mutate_prv(text: &mut String, rng: &mut StdRng) -> String {
+    let mut at = rng.gen_range(0..text.len() + 1);
+    if rng.gen_bool(0.5) {
+        let edge = text.as_bytes()[at..].iter().position(|b| b" ,:\n".contains(b));
+        at += edge.map_or(0, |e| e + usize::from(rng.gen_bool(0.5)));
+    }
+    at = at.min(text.len());
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    let class = match rng.gen_range(0u32..3) {
+        0 => &PRV_WHITESPACE[..],
+        1 => &PRV_STRAY[..],
+        _ => &PRV_NUMBERS[..],
+    };
+    let token = class[rng.gen_range(0..class.len())];
+    let old = text[at..].chars().next();
+    match (rng.gen_range(0u32..3), old) {
+        (0, Some(c)) => {
+            text.replace_range(at..at + c.len_utf8(), "");
+            format!("delete {c:?} at byte {at}")
+        }
+        (1, Some(c)) => {
+            text.replace_range(at..at + c.len_utf8(), token);
+            format!("replace {c:?} with {token:?} at byte {at}")
+        }
+        _ => {
+            text.insert_str(at, token);
+            format!("insert {token:?} at byte {at}")
+        }
+    }
+}
+
+/// Compares the production parser with the reference on `text`; `None` =
+/// the same trace bytes, fault report and error wording under both
+/// policies, and the same result from `parse_record_line` on every line.
+pub fn compare_prv(text: &str) -> Option<String> {
+    for policy in [FaultPolicy::Strict, FaultPolicy::Lenient] {
+        let fast = prv::parse_trace_with(text, policy);
+        let slow = reference::prv_parse(text, policy);
+        match (fast, slow) {
+            (Ok((fast, fast_faults)), Ok((slow, slow_faults))) => {
+                let (fast, slow) = (prv::write_trace(&fast), prv::write_trace(&slow));
+                if let Some((i, (a, b))) =
+                    fast.lines().zip(slow.lines()).enumerate().find(|(_, (a, b))| a != b)
+                {
+                    return Some(format!(
+                        "{policy:?}: written line {}: scanner {a:?} vs reference {b:?}",
+                        i + 1
+                    ));
+                }
+                if fast != slow {
+                    return Some(format!("{policy:?}: written traces differ in length"));
+                }
+                if fast_faults != slow_faults {
+                    return Some(format!(
+                        "{policy:?}: faults {:?} vs reference {:?}",
+                        fast_faults.faults, slow_faults.faults
+                    ));
+                }
+            }
+            (Err(fast), Err(slow)) => {
+                let (fast, slow) = (fast.to_string(), slow.to_string());
+                if fast != slow {
+                    return Some(format!("{policy:?}: error {fast:?} vs reference {slow:?}"));
+                }
+            }
+            (fast, slow) => {
+                let outcome = |r: &Result<_, prv::ParseFailure>| match r {
+                    Ok(_) => "parsed".to_string(),
+                    Err(e) => format!("failed with {e}"),
+                };
+                return Some(format!(
+                    "{policy:?}: scanner {} vs reference {}",
+                    outcome(&fast),
+                    outcome(&slow)
+                ));
+            }
+        }
+    }
+    text.lines().enumerate().find_map(|(i, line)| {
+        let fast = format!("{:?}", prv::parse_record_line(line, i + 1));
+        let slow = format!("{:?}", reference::prv_parse_record_line(line, i + 1));
+        (fast != slow).then(|| format!("record line {}: scanner {fast} vs reference {slow}", i + 1))
+    })
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    /// The edges the byte scanner must reproduce, each in a trace of its
+    /// own: every whitespace class, counter tokens that only the first `:`
+    /// and the empty trailing piece tell apart, two stacks that differ only
+    /// in their leaf line, and a header line after the body began.
+    #[test]
+    fn prv_scanner_matches_the_reference_on_each_edge() {
+        let mut bodies: Vec<String> = PRV_WHITESPACE
+            .iter()
+            .map(|sep| format!("S{sep}0{sep}5{sep}INS:1{sep}0;1@3\n"))
+            .collect();
+        for tok in ["INS:1,", "INS:1:2", "INS::1", ",", "INS:1,,CYC:2", "INS:+", "INS:1e400"] {
+            bodies.push(format!("S 0 5 {tok} -\nS 0 6 INS:1 -\n"));
+        }
+        bodies.push("S 0 1 - 0;1@3\nS 0 2 - 0;1@4\nS 0 3 - 0;1@3\n".into());
+        bodies.push("R 0 E 1 0\n#REGION 1 K late k.c 2\n#RANKS 3\nS 0 5 INS:1 -\n".into());
+        for body in &bodies {
+            let text = format!("#PHASEFOLD_TRACE v1\n#RANKS 1\n#REGION 0 F main m.c 1\n{body}");
+            assert_eq!(compare_prv(&text), None, "{text:?}");
+        }
+    }
 }

@@ -20,6 +20,7 @@ mod ns {
     pub const MUGGEO: u64 = 0x04;
     pub const HINGE: u64 = 0x05;
     pub const SUGGEST_EPS: u64 = 0x06;
+    pub const PRV_FIELDS: u64 = 0x07;
     pub const NAN: u64 = 0x7A7A;
     pub const PERMUTE: u64 = 0xD5CA;
     pub const REORDER: u64 = 0xF01D;
@@ -81,6 +82,11 @@ pub fn run_seed(seed: u64, shrink_repros: bool) -> Vec<Divergence> {
 fn trace_checks(case: &Case, seed: u64) -> Vec<Divergence> {
     let mut divergences = Vec::new();
     divergences.extend(differential::check_fold(case, seed));
+    divergences.extend(differential::check_prv_fields(
+        case,
+        &mut rng_for(seed, ns::PRV_FIELDS),
+        seed,
+    ));
     divergences.extend(metamorphic::check_threads(case, seed));
     divergences.extend(metamorphic::check_time_shift(case, seed));
     divergences.extend(metamorphic::check_time_scale(case, seed));

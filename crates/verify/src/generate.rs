@@ -188,7 +188,7 @@ impl TraceSpec {
                     let _ = stream.push(Record::Sample(Sample {
                         time: t(start + frac),
                         counters: partial,
-                        callstack: CallStack::empty(),
+                        callstack: CallStack::empty().into(),
                     }));
                 }
                 now += inst.dur_ns.max(1);

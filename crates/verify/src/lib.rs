@@ -12,8 +12,9 @@
 //! * [`reference`] — deliberately slow, obviously-correct re-implementations
 //!   of the core kernels: exhaustive segmented least squares, brute-force
 //!   O(n²) DBSCAN, the all-pairs k-dist curve and ε heuristic, a naive
-//!   linear-scan re-fold, and the Muggeo refinement
-//!   and hinge fits with their design matrices built row by row. Each one
+//!   linear-scan re-fold, the Muggeo refinement
+//!   and hinge fits with their design matrices built row by row, and the
+//!   PRV parser on the standard library's string splitters. Each one
 //!   is written from the spec with no shared tricks with the production
 //!   crates (the row-wise fits share only the linear solvers).
 //! * [`differential`] — runs fast kernel and reference on the same input

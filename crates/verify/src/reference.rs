@@ -10,7 +10,12 @@
 
 use phasefold_cluster::Clustering;
 use phasefold_folding::{ClusterFold, FoldConfig, FoldedPoint, FoldedProfile};
-use phasefold_model::{Burst, CounterKind, Record, Trace, NUM_COUNTERS};
+use phasefold_model::prv::{ParseFailure, MAX_DECLARED_RANKS};
+use phasefold_model::{
+    Burst, CallStack, CommKind, CounterKind, CounterSet, Fault, FaultPolicy, FaultReport,
+    ModelError, PartialCounterSet, RankId, Record, RegionId, RegionKind, Sample, SourceRegistry,
+    TimeNs, Trace, NUM_COUNTERS,
+};
 use phasefold_regress::breakpoints::{enforce_separation, RefineConfig};
 use phasefold_regress::linalg::{nnls, wls, Mat};
 use phasefold_regress::HingeFit;
@@ -479,6 +484,259 @@ pub fn naive_refold(
         });
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// PRV parsing with the standard library's splitters
+// ---------------------------------------------------------------------------
+//
+// `prv` scans each line's bytes for its fields, walks a sample's counters
+// token once and parses each distinct call stack once per trace. These
+// parse the way the format is defined instead: fields from
+// `str::split_whitespace`, counter pairs from `split(',')` and
+// `split_once(':')`, and a fresh stack for every sample. Errors are worded,
+// numbered and ordered as the production parser must word, number and
+// order them.
+
+/// Inverse of the writer's percent-escaping (`%20`, `%25`, `%0A`, `%09`).
+fn prv_unescape(token: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(token.len());
+    let mut rest = token;
+    while let Some(i) = rest.find('%') {
+        out.push_str(&rest[..i]);
+        let hex = rest.get(i + 1..i + 3).ok_or("truncated escape")?;
+        let v = u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape %{hex}"))?;
+        out.push(v as char);
+        rest = &rest[i + 3..];
+    }
+    out.push_str(rest);
+    Ok(out)
+}
+
+struct PrvFields<'a> {
+    line_no: usize,
+    fields: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> PrvFields<'a> {
+    fn err(&self, message: impl Into<String>) -> ModelError {
+        ModelError::Parse { line: self.line_no, message: message.into() }
+    }
+
+    fn next(&mut self, what: &str) -> Result<&'a str, ModelError> {
+        self.fields.next().ok_or_else(|| self.err(format!("missing field: {what}")))
+    }
+
+    fn next_num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, ModelError> {
+        let f = self.next(what)?;
+        f.parse().map_err(|_| self.err(format!("bad {what}: {f:?}")))
+    }
+}
+
+/// `prv::parse_trace_with` from its definition: the first line must be the
+/// magic header; `#RANKS` and `#REGION` lines declare the header until the
+/// first body record freezes it, after which they are defects; body
+/// records and unknown tags are defects that a lenient parse quarantines
+/// with their line number; structural defects are fatal under both
+/// policies.
+pub fn prv_parse(input: &str, policy: FaultPolicy) -> Result<(Trace, FaultReport), ParseFailure> {
+    let mut report = FaultReport::new();
+    let lenient = policy == FaultPolicy::Lenient;
+    let fail = |error| ParseFailure { policy, error };
+    let mut lines = input.lines().enumerate();
+    let Some((_, header)) = lines.next() else {
+        return Err(fail(ModelError::Parse { line: 1, message: "empty input".into() }));
+    };
+    if header.trim() != "#PHASEFOLD_TRACE v1" {
+        return Err(fail(ModelError::Parse {
+            line: 1,
+            message: format!("bad header: {header:?}"),
+        }));
+    }
+    let mut regions: Vec<(u32, RegionKind, String, String, u32)> = Vec::new();
+    let mut n_ranks: Option<usize> = None;
+    let mut trace: Option<Trace> = None;
+    for (idx, raw) in lines {
+        let line_no = idx + 1;
+        let mut p = PrvFields { line_no, fields: raw.split_whitespace() };
+        let Ok(tag) = p.next("record tag") else { continue };
+        // A defect of one line: quarantined when lenient, fatal otherwise.
+        let mut defect = |e: ModelError, at_line: bool| {
+            let fault = Fault::from(e.clone());
+            report.push(if at_line { fault.at_line(line_no) } else { fault });
+            if lenient {
+                Ok(())
+            } else {
+                Err(fail(e))
+            }
+        };
+        match tag {
+            "#RANKS" | "#REGION" if trace.is_some() => {
+                defect(p.err(format!("{tag} header after the first body record")), false)?;
+            }
+            "#RANKS" => {
+                let n = p.next_num::<u32>("rank count").map_err(fail)? as usize;
+                if n > MAX_DECLARED_RANKS || n > input.len() {
+                    return Err(fail(p.err(format!(
+                        "declared rank count {n} exceeds the allowed maximum \
+                         (min of {MAX_DECLARED_RANKS} and the input size {})",
+                        input.len()
+                    ))));
+                }
+                n_ranks = Some(n);
+            }
+            "#REGION" => {
+                let region = (|| {
+                    let id = p.next_num::<u32>("region id")?;
+                    let kind_tok = p.next("region kind")?;
+                    let kind = RegionKind::from_tag(kind_tok.chars().next().unwrap_or('?'))
+                        .ok_or_else(|| p.err(format!("bad region kind {kind_tok:?}")))?;
+                    let name = prv_unescape(p.next("region name")?).map_err(|e| p.err(e))?;
+                    let file = prv_unescape(p.next("region file")?).map_err(|e| p.err(e))?;
+                    let line = p.next_num::<u32>("region line")?;
+                    Ok((id, kind, name, file, line))
+                })()
+                .map_err(fail)?;
+                regions.push(region);
+            }
+            "R" | "C" | "S" => {
+                if trace.is_none() {
+                    let ranks = n_ranks
+                        .ok_or_else(|| p.err("missing #RANKS header"))
+                        .map_err(fail)?;
+                    trace = Some(prv_freeze(&mut regions, ranks).map_err(|(id, at)| {
+                        fail(p.err(format!(
+                            "region ids must be dense, found {id} at position {at}"
+                        )))
+                    })?);
+                }
+                let Some(trace) = trace.as_mut() else { continue };
+                let pushed = prv_record_fields(&mut p, tag).and_then(|(rank, record)| {
+                    trace.rank_mut(RankId(rank)).ok_or(ModelError::UnknownRank(rank))?.push(record)
+                });
+                if let Err(e) = pushed {
+                    defect(e, true)?;
+                }
+            }
+            other => defect(p.err(format!("unknown record tag {other:?}")), false)?,
+        }
+    }
+    let trace = match trace {
+        Some(trace) => trace,
+        None => {
+            let ranks = n_ranks.ok_or_else(|| {
+                fail(ModelError::Parse { line: 1, message: "missing #RANKS header".into() })
+            })?;
+            // A header-only trace does not check that the ids are dense.
+            regions.sort_by_key(|r| r.0);
+            let mut registry = SourceRegistry::new();
+            for (_, kind, name, file, line) in &regions {
+                registry.intern(name, *kind, file, *line);
+            }
+            Trace::with_ranks(registry, ranks)
+        }
+    };
+    Ok((trace, report))
+}
+
+/// The region table sorted by id, which must then read 0, 1, 2, …; the
+/// first `(id, position)` that does not is the error.
+fn prv_freeze(
+    regions: &mut [(u32, RegionKind, String, String, u32)],
+    ranks: usize,
+) -> Result<Trace, (u32, usize)> {
+    regions.sort_by_key(|r| r.0);
+    let mut registry = SourceRegistry::new();
+    for (at, (id, kind, name, file, line)) in regions.iter().enumerate() {
+        if *id as usize != at {
+            return Err((*id, at));
+        }
+        registry.intern(name, *kind, file, *line);
+    }
+    Ok(Trace::with_ranks(registry, ranks))
+}
+
+/// `prv::parse_record_line` from its definition.
+pub fn prv_parse_record_line(line: &str, line_no: usize) -> Result<(RankId, Record), ModelError> {
+    let mut p = PrvFields { line_no, fields: line.split_whitespace() };
+    let tag = p.next("record tag")?;
+    match tag {
+        "R" | "C" | "S" => prv_record_fields(&mut p, tag).map(|(rank, r)| (RankId(rank), r)),
+        other => Err(p.err(format!("unknown record tag {other:?}"))),
+    }
+}
+
+/// The fields of one `R`/`C`/`S` line after its tag.
+fn prv_record_fields(p: &mut PrvFields<'_>, tag: &str) -> Result<(u32, Record), ModelError> {
+    let rank = p.next_num::<u32>("rank")?;
+    let direction = |p: &PrvFields<'_>, dir: &str| match dir {
+        "E" | "X" => Ok(dir == "E"),
+        other => Err(p.err(format!("bad direction {other:?}"))),
+    };
+    let record = match tag {
+        "R" => {
+            let dir = p.next("direction")?;
+            let time = TimeNs(p.next_num("time")?);
+            let region = RegionId(p.next_num("region")?);
+            if direction(p, dir)? {
+                Record::RegionEnter { time, region }
+            } else {
+                Record::RegionExit { time, region }
+            }
+        }
+        "C" => {
+            let dir = p.next("direction")?;
+            let time = TimeNs(p.next_num("time")?);
+            let kind_tok = p.next("comm kind")?;
+            let kind = CommKind::from_mnemonic(kind_tok)
+                .ok_or_else(|| p.err(format!("bad comm kind {kind_tok:?}")))?;
+            let mut values = [0.0; NUM_COUNTERS];
+            for (i, v) in values.iter_mut().enumerate() {
+                *v = p.next_num(&format!("counter[{i}]"))?;
+            }
+            let counters = CounterSet::from_array(values);
+            if direction(p, dir)? {
+                Record::CommEnter { time, kind, counters }
+            } else {
+                Record::CommExit { time, kind, counters }
+            }
+        }
+        _ => {
+            let time = TimeNs(p.next_num("time")?);
+            let counters_tok = p.next("sample counters")?;
+            let stack_tok = p.next("sample callstack")?;
+            let mut counters = PartialCounterSet::EMPTY;
+            if counters_tok != "-" {
+                for pair in counters_tok.split(',') {
+                    let (k, v) = pair
+                        .split_once(':')
+                        .ok_or_else(|| p.err(format!("bad counter pair {pair:?}")))?;
+                    let kind = CounterKind::from_mnemonic(k)
+                        .ok_or_else(|| p.err(format!("unknown counter {k:?}")))?;
+                    let value: f64 =
+                        v.parse().map_err(|_| p.err(format!("bad counter value {v:?}")))?;
+                    counters.set(kind, value);
+                }
+            }
+            let callstack = if stack_tok == "-" {
+                CallStack::empty()
+            } else {
+                let (frames_tok, leaf_line) = match stack_tok.rsplit_once('@') {
+                    Some((f, l)) => {
+                        (f, l.parse().map_err(|_| p.err(format!("bad leaf line {l:?}")))?)
+                    }
+                    None => (stack_tok, 0),
+                };
+                let frames = frames_tok
+                    .split(';')
+                    .map(|f| f.parse().map(RegionId).map_err(|_| p.err(format!("bad frame id {f:?}"))))
+                    .collect::<Result<Vec<_>, _>>()?;
+                CallStack::new(frames, leaf_line)
+            };
+            Record::Sample(Sample { time, counters, callstack: Arc::new(callstack) })
+        }
+    };
+    Ok((rank, record))
 }
 
 #[cfg(test)]

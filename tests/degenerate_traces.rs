@@ -22,7 +22,7 @@ fn sample(t: u64, ins: f64) -> Record {
     Record::Sample(Sample {
         time: TimeNs(t),
         counters: PartialCounterSet::from_full(&counters(ins)),
-        callstack: CallStack::empty(),
+        callstack: CallStack::empty().into(),
     })
 }
 
@@ -125,7 +125,7 @@ fn counters_frozen_at_boundaries_yield_no_model_but_no_panic() {
             .push(Record::Sample(Sample {
                 time: TimeNs(t0 + 500_000),
                 counters: PartialCounterSet::from_full(&CounterSet::ZERO),
-                callstack: CallStack::empty(),
+                callstack: CallStack::empty().into(),
             }))
             .unwrap();
         stream
